@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .evaluation import PSNR_SATURATION_DB
 from .spectral import AttenuationTable, ChannelBinning, SourceSpectrum
 from .tomo import Grid2D, ParallelGeometry
 
@@ -264,7 +265,9 @@ def parse_config(raw: dict, base_dir: Path | str = ".") -> RunConfig:
     ang = geometry.get("angles", {})
     if "list" in ang:
         angles = np.asarray(ang["list"], dtype=np.float64)
-        if angles.size and (angles.min() < 0 or angles.max() >= 2 * np.pi):
+        if angles.size == 0:
+            raise FormatError("geometry.angles.list must be nonempty")
+        if not np.all((angles >= 0) & (angles < 2 * np.pi)):
             raise FormatError("explicit angles must lie in [0, 2*pi)")
     else:
         for key in ("count", "stop"):
@@ -317,7 +320,8 @@ def write_history_csv(path, records) -> None:
                      f"{_fmt(r.eps_rel)},{_fmt(r.alpha)},{_fmt(r.beta)}\n")
 
 
-def write_results_csv(path, method: str, match, psnr_saturation: float = 99.0) -> None:
+def write_results_csv(path, method: str, match,
+                      psnr_saturation: float = PSNR_SATURATION_DB) -> None:
     """Per-pair metric rows plus an ``average`` row; infinite PSNR values
     are written as the saturation value."""
     def cap(v):

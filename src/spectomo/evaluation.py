@@ -98,6 +98,9 @@ def greedy_match(A_rec: np.ndarray, A_gt: np.ndarray,
     A_gt = np.atleast_2d(np.asarray(A_gt, dtype=np.float64))
     if A_rec.shape != A_gt.shape:
         raise ValueError(f"shape mismatch: {A_rec.shape} vs {A_gt.shape}")
+    for name, A in (("A_rec", A_rec), ("A_gt", A_gt)):
+        if not np.all(np.isfinite(A)):
+            raise ValueError(f"{name} contains non-finite entries")
     m = A_rec.shape[1]
     err = np.empty((m, m))
     for i in range(m):

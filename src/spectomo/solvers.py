@@ -11,8 +11,8 @@ Also here: the dictionary-free joint baseline (`cjoint`) and the two
 sequential baselines `ru` (reconstruct each channel, then factorize the
 volume) and `ur` (factorize the sinogram, then reconstruct each material).
 
-All matrix products involving the tomographic operator are evaluated
-matrix-free through ``op.forward`` / ``op.adjoint``, and predicted data is
+All matrix products involving the tomographic operator go through
+``op.forward`` / ``op.adjoint``, and predicted data is
 always formed as ``(W A) @ (R @ T)`` so repeated evaluations of the same
 iterate are bit-identical.
 """
@@ -38,7 +38,7 @@ MAX_HALVINGS = 30
 
 def objective(A: np.ndarray, R: np.ndarray, op: TomoOperator,
               T: np.ndarray, Y: np.ndarray) -> float:
-    """Least-squares misfit ``0.5 * ||Y - W A R T||_F^2``, matrix-free."""
+    """Least-squares misfit ``0.5 * ||Y - W A R T||_F^2``."""
     T = _dict_matrix(T)
     Yhat = op.forward(A) @ (R @ T)
     return 0.5 * float(np.sum((Y - Yhat) ** 2))

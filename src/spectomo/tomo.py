@@ -3,8 +3,9 @@
 The projector is ray-driven with bilinear (Joseph-style) interpolation:
 every ray is sampled once per pixel row or column (whichever axis it is
 closest to), and each sample interpolates linearly between the two
-neighbouring pixel centers.  Forward and adjoint share the same sampling
-tables, so the pair is an exact transpose of one another.
+neighbouring pixel centers.  The weights are assembled once into a sparse
+matrix ``W``; forward applies ``W`` and adjoint applies ``W.T``, so the
+pair is an exact transpose of one another.
 
 Conventions
 -----------
@@ -16,22 +17,17 @@ Conventions
 * Sinogram ray index ``j = angle_index * n_det + detector_index``.
 
 Rays that never enter the grid contribute exact zeros.  All computation is
-in 64-bit floats.  The sampling tables for moderately sized geometries are
-precomputed at construction (they depend only on grid and geometry); very
-large geometries fall back to streaming the same chunks on the fly, so
-memory stays bounded either way.
+in 64-bit floats.  ``W`` stores only nonzero weights, at about 12 bytes each
+(a float64 value and an int32 column index): 57 MiB for a 128x128 grid
+with 180 angles and 128 detectors.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-
-# geometries with more sample points than this stream their tables per call
-_TABLE_CACHE_LIMIT = 4_000_000
-_CHUNK_BUDGET = 2_000_000
+from scipy import sparse
 
 
 @dataclass(frozen=True)
@@ -103,24 +99,20 @@ def equispaced_angles(count: int, start: float = 0.0, stop: float = np.pi) -> np
 
 @dataclass(frozen=True)
 class TomoOperator:
-    """Matrix-free discrete line-integral operator and its exact transpose.
+    """Discrete line-integral operator, assembled once as a sparse matrix.
 
-    Immutable after construction and safe for concurrent use; scratch
-    buffers live in thread-local storage so results are bit-identical for
-    identical inputs.
+    ``W`` is a ``(n_rays, n_image)`` CSR matrix holding the Joseph weights
+    of every ray, so ``forward`` is ``W @ X`` and ``adjoint`` is
+    ``W.T @ Y``.  The operator keeps no other state and is immutable after
+    construction, so it is safe for concurrent use.
     """
 
     grid: Grid2D
     geometry: ParallelGeometry
-    _tables: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    _scratch: threading.local = field(default_factory=threading.local,
-                                      init=False, repr=False, compare=False)
+    W: sparse.csr_array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        samples = (self.geometry.n_angles * self.geometry.n_det
-                   * max(self.grid.nx, self.grid.ny))
-        if samples <= _TABLE_CACHE_LIMIT:
-            object.__setattr__(self, "_tables", tuple(self._chunks()))
+        object.__setattr__(self, "W", self._assemble())
 
     @property
     def n_image(self) -> int:
@@ -145,13 +137,13 @@ class TomoOperator:
         x, single = self._check_vec(image, self.n_image, "image")
         if not np.all(np.isfinite(x)):
             raise ValueError("image contains non-finite entries")
-        out = self._forward(x)
+        out = self.W @ x
         return out[:, 0] if single else out
 
     def adjoint(self, sino: np.ndarray) -> np.ndarray:
         """Transpose of `forward` applied to a sinogram (same discrete weights)."""
         y, single = self._check_vec(sino, self.n_rays, "sinogram")
-        out = self._adjoint(y)
+        out = self.W.T @ y
         return out[:, 0] if single else out
 
     # -- internals ---------------------------------------------------------
@@ -166,93 +158,58 @@ class TomoOperator:
             raise ValueError(f"{name} must have leading dimension {n}, got shape {v.shape}")
         return np.ascontiguousarray(v), single
 
-    def _chunks(self):
-        """Sampling tables: per chunk of angles, the two neighbour pixel
-        indices and interpolation weights for every (angle, sample, ray)."""
+    def _assemble(self) -> sparse.csr_array:
+        """Fill the CSR arrays in place, one angle at a time.
+
+        Every ray of an angle takes one sample per pixel row (rays closest
+        to vertical) or column, and each sample stores its two
+        interpolation neighbours next to each other.  A ray therefore has
+        exactly ``2 * n_across`` entries, so ``indptr`` is known up front;
+        neighbours that fall off the grid get weight 0 and are dropped at
+        the end.
+        """
         g, geom = self.grid, self.geometry
         nx, ny, p = g.nx, g.ny, g.pixel_size
-        t = geom.det_centers()[None, None, :]
+        t = geom.det_centers()[:, None]
         xc = (np.arange(nx) - (nx - 1) / 2.0) * p + g.origin[0]
         yc = (np.arange(ny) - (ny - 1) / 2.0) * p + g.origin[1]
         sin_all = np.sin(geom.angles)
         cos_all = np.cos(geom.angles)
         y_dom = np.abs(cos_all) >= np.abs(sin_all)
 
-        for dominant_y in (True, False):
-            group = np.flatnonzero(y_dom == dominant_y)
-            if group.size == 0:
-                continue
-            n_along, n_across = (nx, ny) if dominant_y else (ny, nx)
-            chunk = max(1, _CHUNK_BUDGET // max(n_across * geom.n_det, 1))
-            for lo in range(0, group.size, chunk):
-                idx = group[lo:lo + chunk]
-                s = sin_all[idx][:, None, None]
-                c = cos_all[idx][:, None, None]
-                if dominant_y:
-                    # rays closest to vertical: one sample per pixel row,
-                    # interpolated along x
-                    cross = (t - yc[None, :, None] * s) / c
-                    frac = (cross - g.origin[0]) / p + (nx - 1) / 2.0
-                    step = p / np.abs(c)
-                else:
-                    cross = (t - xc[None, :, None] * c) / s
-                    frac = (cross - g.origin[1]) / p + (ny - 1) / 2.0
-                    step = p / np.abs(s)
+        row_nnz = np.repeat(2 * np.where(y_dom, ny, nx), geom.n_det)
+        nnz = int(row_nnz.sum())
+        index_dtype = np.int32 if max(nnz, g.n_pixels) < 2 ** 31 else np.int64
+        indptr = np.zeros(geom.n_rays + 1, dtype=index_dtype)
+        np.cumsum(row_nnz, out=indptr[1:])
+        indices = np.empty(nnz, dtype=index_dtype)
+        data = np.empty(nnz)
 
-                i0 = np.floor(frac).astype(np.int64)
-                w1 = frac - i0
-                w0 = (1.0 - w1) * np.where((i0 >= 0) & (i0 < n_along), step, 0.0)
-                w1 = w1 * np.where((i0 + 1 >= 0) & (i0 + 1 < n_along), step, 0.0)
-                i0c = np.clip(i0, 0, n_along - 1)
-                i1c = np.clip(i0 + 1, 0, n_along - 1)
-                rows = np.arange(n_across)[None, :, None]
-                if dominant_y:
-                    lin0 = rows * nx + i0c            # (chunk, n_across, n_det)
-                    lin1 = rows * nx + i1c
-                else:
-                    lin0 = i0c * nx + rows
-                    lin1 = i1c * nx + rows
-                yield (idx, np.ascontiguousarray(lin0), np.ascontiguousarray(lin1),
-                       np.ascontiguousarray(w0), np.ascontiguousarray(w1))
+        for a, (s, c, dominant_y) in enumerate(zip(sin_all, cos_all, y_dom)):
+            if dominant_y:
+                # one sample per pixel row, interpolated along x
+                across, u, v, o, n_along, stride_along, stride_across = (
+                    yc, s, c, g.origin[0], nx, 1, nx)
+            else:
+                across, u, v, o, n_along, stride_along, stride_across = (
+                    xc, c, s, g.origin[1], ny, nx, 1)
+            frac = ((t - across * u) / v - o) / p + (n_along - 1) / 2.0
+            step = p / abs(v)
 
-    def _buffers(self, key, shapes):
-        cache = getattr(self._scratch, "buffers", None)
-        if cache is None:
-            cache = {}
-            self._scratch.buffers = cache
-        if key not in cache:
-            cache[key] = tuple(np.empty(s) for s in shapes)
-        return cache[key]
+            i0 = np.floor(frac).astype(np.int64)         # (n_det, n_across)
+            w1 = frac - i0
+            w0 = (1.0 - w1) * np.where((i0 >= 0) & (i0 < n_along), step, 0.0)
+            w1 = w1 * np.where((i0 + 1 >= 0) & (i0 + 1 < n_along), step, 0.0)
+            rows = np.arange(across.size) * stride_across
 
-    def _forward(self, flat: np.ndarray) -> np.ndarray:
-        geom = self.geometry
-        k = flat.shape[1]
-        out = np.zeros((geom.n_angles, geom.n_det, k))
-        for idx, lin0, lin1, w0, w1 in self._tables or self._chunks():
-            g0, g1 = self._buffers(("f", lin0.shape, k),
-                                   (lin0.shape + (k,), lin0.shape + (k,)))
-            np.take(flat, lin0, axis=0, out=g0)
-            np.take(flat, lin1, axis=0, out=g1)
-            g0 *= w0[..., None]
-            g1 *= w1[..., None]
-            g0 += g1
-            out[idx] = g0.sum(axis=1)
-        return out.reshape(-1, k)
+            lo, hi = indptr[a * geom.n_det], indptr[(a + 1) * geom.n_det]
+            idx = indices[lo:hi].reshape(geom.n_det, across.size, 2)
+            val = data[lo:hi].reshape(geom.n_det, across.size, 2)
+            idx[..., 0] = rows + np.clip(i0, 0, n_along - 1) * stride_along
+            idx[..., 1] = rows + np.clip(i0 + 1, 0, n_along - 1) * stride_along
+            val[..., 0] = w0
+            val[..., 1] = w1
 
-    def _adjoint(self, data: np.ndarray) -> np.ndarray:
-        geom = self.geometry
-        n = self.grid.n_pixels
-        k = data.shape[1]
-        out = np.zeros((n, k))
-        sino = data.reshape(geom.n_angles, geom.n_det, k)
-        for idx, lin0, lin1, w0, w1 in self._tables or self._chunks():
-            (scr,) = self._buffers(("a", lin0.shape), (lin0.shape,))
-            lin0r, lin1r = lin0.ravel(), lin1.ravel()
-            vals = sino[idx]                          # (chunk, n_det, k)
-            for col in range(k):
-                v = vals[:, None, :, col]
-                np.multiply(w0, v, out=scr)
-                out[:, col] += np.bincount(lin0r, weights=scr.ravel(), minlength=n)
-                np.multiply(w1, v, out=scr)
-                out[:, col] += np.bincount(lin1r, weights=scr.ravel(), minlength=n)
-        return out
+        W = sparse.csr_array((data, indices, indptr), shape=(geom.n_rays, g.n_pixels))
+        W.eliminate_zeros()
+        return W

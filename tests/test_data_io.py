@@ -224,6 +224,17 @@ class TestRunConfig:
             geometry={"angles": {"list": [0.0, 0.5, 1.0]}, "detectors": 32}))
         assert cfg.parallel_geometry().n_angles == 3
 
+    def test_empty_angle_list_rejected(self):
+        bad = valid_config(geometry={"angles": {"list": []}, "detectors": 32})
+        with pytest.raises(FormatError, match="geometry.angles.list must be nonempty"):
+            parse_config(bad)
+
+    def test_nan_in_angle_list_rejected(self):
+        bad = valid_config(geometry={"angles": {"list": [0.0, float("nan")]},
+                                     "detectors": 32})
+        with pytest.raises(FormatError, match="explicit angles"):
+            parse_config(bad)
+
     def test_missing_dictionary_file_rejected(self, tmp_path):
         bad = valid_config(dictionary={"type": "csv", "path": "absent.csv"})
         with pytest.raises(FormatError, match="does not exist"):

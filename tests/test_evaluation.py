@@ -114,6 +114,16 @@ class TestGreedyMatch:
         with pytest.raises(ValueError):
             greedy_match(np.ones((4, 2)), np.ones((4, 3)))
 
+    @pytest.mark.parametrize("bad", ["A_rec", "A_gt"])
+    def test_nonfinite_maps_rejected(self, bad):
+        maps = {"A_rec": np.ones((4, 2)), "A_gt": np.ones((4, 2))}
+        maps[bad][1, 0] = np.nan
+        with pytest.raises(ValueError, match=f"{bad} contains non-finite"):
+            greedy_match(**maps)
+        maps[bad][1, 0] = np.inf
+        with pytest.raises(ValueError, match=f"{bad} contains non-finite"):
+            greedy_match(**maps)
+
     def test_permutation_invariance_of_averages(self):
         rng = np.random.default_rng(5)
         rec = rng.uniform(size=(16, 4))

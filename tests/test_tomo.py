@@ -170,3 +170,40 @@ class TestGrid:
         W_ref = dense_reference_projector(grid, geom)
         W = dense_from_forward(op)
         assert np.max(np.abs(W - W_ref)) <= 1e-12
+
+
+class TestAssembledMatrix:
+    def test_rows_match_dense_reference_without_stored_zeros(self):
+        # angles on both sides of 45 degrees: rays sampled per pixel row
+        # (y-dominant) and per pixel column (x-dominant)
+        grid = Grid2D(7, 5, pixel_size=0.8, origin=(0.3, -0.2))
+        angles = np.array([0.0, 0.4, np.pi / 4, 1.2, np.pi / 2, 2.0, 2.9, 4.0])
+        geom = ParallelGeometry(angles=angles, n_det=10, det_spacing=0.7)
+        y_dominant = np.abs(np.cos(angles)) >= np.abs(np.sin(angles))
+        assert y_dominant.any() and not y_dominant.all()
+        op = TomoOperator(grid, geom)
+        W_ref = dense_reference_projector(grid, geom)
+        assert op.W.shape == W_ref.shape
+        assert np.max(np.abs(op.W.toarray() - W_ref)) <= 1e-12
+        assert np.all(op.W.data != 0.0)
+        assert op.W.indices.dtype == np.int32
+        assert op.W.indptr.dtype == np.int32
+
+    def test_calls_leave_operator_attributes_unchanged(self):
+        # neither the operator nor any of its attributes gains or swaps a
+        # member, so no call can leave a cache or scratch buffer behind
+        def members(obj):
+            return dict(vars(obj)) if hasattr(obj, "__dict__") else {}
+
+        op = make_op(n=16, n_angles=12)
+        before = {name: (value, members(value)) for name, value in vars(op).items()}
+        rng = np.random.default_rng(8)
+        for _ in range(2):
+            op.forward(rng.normal(size=(op.n_image, 32)))
+            op.adjoint(rng.normal(size=(op.n_rays, 32)))
+        assert vars(op).keys() == before.keys()
+        for name, (value, inner) in before.items():
+            assert getattr(op, name) is value
+            now = members(value)
+            assert now.keys() == inner.keys()
+            assert all(now[key] is inner[key] for key in inner)
