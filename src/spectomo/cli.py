@@ -26,6 +26,16 @@ from .tomo import Grid2D, ParallelGeometry, TomoOperator
 
 PRESETS = ("full", "sparse-angle", "limited-view", "sparse-channel")
 DEFAULT_RHO_SWEEP = (0.0, 0.01, 0.1)
+_TWO_STEP_PARAMS = ("tikhonov_lambda", "cg_max_iter", "cg_tol", "nmf_iters",
+                    "nmf_restarts")
+# the method_params each method accepts
+METHOD_PARAMS = {
+    "adjust": ("rho", "max_iter", "eps_abs_tol", "eps_rel_tol", "random_init",
+               "step0"),
+    "cjoint": ("max_iter", "tol", "step0"),
+    "ru": _TWO_STEP_PARAMS,
+    "ur": _TWO_STEP_PARAMS,
+}
 
 
 def apply_preset(raw: dict, name: str) -> dict:
@@ -209,6 +219,7 @@ def cmd_reconstruct(out_dir: Path, method: str | None = None,
     params = dict(cfg.method_params) if method == cfg.method else {}
     if method_params:
         params.update(method_params)
+    known = _known(params, METHOD_PARAMS[method])
     if seed is None:
         seed = manifest["seed"]
 
@@ -219,41 +230,22 @@ def cmd_reconstruct(out_dir: Path, method: str | None = None,
 
     method_dir = out_dir / method
     method_dir.mkdir(exist_ok=True)
-    history_path = method_dir / "history.csv"
     t0 = time.perf_counter()
-    with open(history_path, "w", encoding="utf-8", newline="\n") as hist:
-        hist.write("iter,objective,eps_abs,eps_rel,alpha,beta\n")
-
-        fmt = data_io._fmt
-
+    with data_io.history_csv(method_dir / "history.csv") as write_row:
         def log_record(_k, _A, _X, record):
-            hist.write(f"{record.iteration},{fmt(record.objective)},"
-                       f"{fmt(record.eps_abs)},{fmt(record.eps_rel)},"
-                       f"{fmt(record.alpha)},{fmt(record.beta)}\n")
-            hist.flush()
+            write_row(record)
 
         if method == "adjust":
-            config = solvers.AapmConfig(seed=seed, callback=log_record,
-                                        **_known(params, ("rho", "max_iter",
-                                                          "eps_abs_tol",
-                                                          "eps_rel_tol",
-                                                          "random_init", "step0")))
+            config = solvers.AapmConfig(seed=seed, callback=log_record, **known)
             result = solvers.aapm(op, T, Y, M, config)
             data_io.save_matrix(method_dir / "coeffs.adjm", result.R)
             A, F = result.A, result.F
         elif method == "cjoint":
-            config = solvers.CjointConfig(callback=log_record,
-                                          **_known(params, ("max_iter", "tol",
-                                                            "step0")))
+            config = solvers.CjointConfig(callback=log_record, **known)
             result = solvers.cjoint(op, Y, M, config)
             A, F = result.A, result.F
         else:
-            config = solvers.TwoStepConfig(seed=seed,
-                                           **_known(params,
-                                                    ("tikhonov_lambda",
-                                                     "cg_max_iter", "cg_tol",
-                                                     "nmf_iters",
-                                                     "nmf_restarts")))
+            config = solvers.TwoStepConfig(seed=seed, **known)
             runner = solvers.ru if method == "ru" else solvers.ur
             result = runner(op, Y, M, config)
             A, F = result.A, result.F
@@ -348,9 +340,10 @@ def cmd_sweep_rho(out_dir: Path, rho_list=DEFAULT_RHO_SWEEP,
     Y = data_io.load_matrix(out_dir / manifest["files"]["sinogram"])
     T = data_io.load_matrix(out_dir / manifest["files"]["dictionary"])
     M = manifest["n_materials"]
-    params = {k: v for k, v in cfg.method_params.items()
-              if k in ("max_iter", "eps_abs_tol", "eps_rel_tol", "step0",
-                       "random_init")} if cfg.method == "adjust" else {}
+    params = {}
+    if cfg.method == "adjust":
+        params = _known(cfg.method_params, METHOD_PARAMS["adjust"])
+        params.pop("rho", None)
     if max_iter is not None:
         params["max_iter"] = max_iter
 
@@ -358,10 +351,14 @@ def cmd_sweep_rho(out_dir: Path, rho_list=DEFAULT_RHO_SWEEP,
     sweep_dir.mkdir(exist_ok=True)
     paths = []
     for rho in rho_list:
-        config = solvers.AapmConfig(rho=rho, seed=manifest["seed"], **params)
-        result = solvers.aapm(op, T, Y, M, config)
         path = sweep_dir / f"history_rho_{rho:g}.csv"
-        data_io.write_history_csv(path, result.history)
+        with data_io.history_csv(path) as write_row:
+            def log_record(_k, _A, _R, record):
+                write_row(record)
+
+            config = solvers.AapmConfig(rho=rho, seed=manifest["seed"],
+                                        callback=log_record, **params)
+            solvers.aapm(op, T, Y, M, config)
         paths.append(path)
     return paths
 

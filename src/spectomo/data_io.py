@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -312,12 +313,26 @@ def parse_config(raw: dict, base_dir: Path | str = ".") -> RunConfig:
     return cfg
 
 
-def write_history_csv(path, records) -> None:
+@contextmanager
+def history_csv(path):
+    """Open an iteration-history CSV and yield a function that appends one
+    `IterationRecord` as a row and flushes it, so a run that is cut short
+    leaves every row written so far."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("iter,objective,eps_abs,eps_rel,alpha,beta\n")
-        for r in records:
+
+        def write(r):
             fh.write(f"{r.iteration},{_fmt(r.objective)},{_fmt(r.eps_abs)},"
                      f"{_fmt(r.eps_rel)},{_fmt(r.alpha)},{_fmt(r.beta)}\n")
+            fh.flush()
+
+        yield write
+
+
+def write_history_csv(path, records) -> None:
+    with history_csv(path) as write:
+        for r in records:
+            write(r)
 
 
 def write_results_csv(path, method: str, match,

@@ -1,20 +1,20 @@
 """Joint reconstruction and unmixing solvers.
 
-The main solver alternates projected-gradient steps on the material maps
-and the dictionary coefficients (one step per block per outer iteration,
-step lengths by backtracking), with an optional running-sum-of-errors
-feedback term controlled by ``rho``.  With ``rho = 0`` the feedback is off
-and the objective decreases monotonically; ``rho > 0`` accelerates the
-residual decay at the price of monotonicity.
-
-Also here: the dictionary-free joint baseline (`cjoint`) and the two
+The main solver `aapm` alternates projected-gradient steps on the
+dictionary coefficients and the material maps (one step per block per outer
+iteration, step lengths by backtracking), with an optional
+running-sum-of-errors feedback term controlled by ``rho``.  With
+``rho = 0`` the feedback is off and the objective decreases monotonically;
+``rho > 0`` accelerates the residual decay at the price of monotonicity.
+The dictionary-free joint baseline `cjoint` is the same loop with T = I,
+rho = 0 and clipping at zero as both projections.  Also here: the two
 sequential baselines `ru` (reconstruct each channel, then factorize the
 volume) and `ur` (factorize the sinogram, then reconstruct each material).
 
 All matrix products involving the tomographic operator go through
-``op.forward`` / ``op.adjoint``, and predicted data is
-always formed as ``(W A) @ (R @ T)`` so repeated evaluations of the same
-iterate are bit-identical.
+``op.forward`` / ``op.adjoint``, and predicted data is always formed as
+``(W A) @ (R @ T)`` so repeated evaluations of the same iterate are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -39,34 +39,50 @@ MAX_HALVINGS = 30
 def objective(A: np.ndarray, R: np.ndarray, op: TomoOperator,
               T: np.ndarray, Y: np.ndarray) -> float:
     """Least-squares misfit ``0.5 * ||Y - W A R T||_F^2``."""
-    T = _dict_matrix(T)
-    Yhat = op.forward(A) @ (R @ T)
-    return 0.5 * float(np.sum((Y - Yhat) ** 2))
+    return _misfit(_residual(A, R, op, _dict_matrix(T), Y)[1])
 
 
 def lagrangian_value(A, R, U, op, T, Y) -> float:
     """Misfit plus the running-sum-of-errors inner product."""
-    T = _dict_matrix(T)
-    E = Y - op.forward(A) @ (R @ T)
-    return 0.5 * float(np.sum(E ** 2)) + float(np.vdot(U, E))
+    return _lagrangian(_residual(A, R, op, _dict_matrix(T), Y)[1], U)
 
 
 def grad_maps(A, R, U, op, T, Y) -> np.ndarray:
     """Gradient of :func:`lagrangian_value` with respect to the maps:
     ``W^T (W A R T - Y - U) T^T R^T``."""
     T = _dict_matrix(T)
-    RT = R @ T
-    E = op.forward(A) @ RT - Y - U
-    return op.adjoint(E @ RT.T)
+    return _grad_maps(op, _residual(A, R, op, T, Y)[1], U, R @ T)
 
 
 def grad_coeffs(A, R, U, op, T, Y) -> np.ndarray:
     """Gradient with respect to the coefficients:
     ``A^T W^T (W A R T - Y - U) T^T``."""
     T = _dict_matrix(T)
+    return _grad_coeffs(*_residual(A, R, op, T, Y), U, T)
+
+
+# The solver keeps ``WA = W A`` and ``E = Y - WA @ (R @ T)`` of its iterate,
+# so no projector call is repeated; U is None when the feedback is off.
+
+def _residual(A, R, op, T, Y):
     WA = op.forward(A)
-    E = WA @ (R @ T) - Y - U
-    return WA.T @ E @ T.T
+    return WA, Y - WA @ (R @ T)
+
+
+def _misfit(E) -> float:
+    return 0.5 * float(np.sum(E ** 2))
+
+
+def _lagrangian(E, U) -> float:
+    return _misfit(E) + (0.0 if U is None else float(np.vdot(U, E)))
+
+
+def _grad_coeffs(WA, E, U, T) -> np.ndarray:
+    return -(WA.T @ (E if U is None else E + U) @ T.T)
+
+
+def _grad_maps(op, E, U, RT) -> np.ndarray:
+    return op.adjoint(-((E if U is None else E + U) @ RT.T))
 
 
 def _dict_matrix(T) -> np.ndarray:
@@ -128,6 +144,83 @@ class IterationRecord:
     beta: float
 
 
+def _alternating_pg(op, T, Y, A, X, project_A, project_X, rho, max_iter,
+                    eps_abs_tol, eps_rel_tol, step0, callback):
+    """The loop of `aapm` and `cjoint` (`aapm` gives the stopping rule); returns
+    ``(A, X, U, history, converged, step_failures)``, U None if rho = 0."""
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    U = np.zeros_like(Y) if rho else None
+    WA, E = _residual(A, X, op, T, Y)
+    norm_Y = float(np.linalg.norm(Y))
+    alpha = beta = step0
+    history: list[IterationRecord] = []
+    step_failures = 0
+
+    for k in range(1, max_iter + 1):
+        # X step at (A_k, X_k, U_k); WA and E are kept from the A step
+        jt = _lagrangian(E, U)
+        if not np.isfinite(jt):
+            raise RuntimeError(f"non-finite objective at iteration {k}: {jt!r}; "
+                               "check the data scaling and step sizes")
+
+        def value_X(Xc):
+            Ec = Y - WA @ (Xc @ T)
+            return _lagrangian(Ec, U), Ec
+
+        X_new, a_step, jt, aux = backtracking(
+            X, _grad_coeffs(WA, E, U, T), project_X, value_X, jt, 2.0 * alpha)
+        if a_step > 0.0:
+            E = aux
+            # grow the memorized step only on real movement, otherwise a
+            # stalled block would double it without bound
+            if not np.array_equal(X_new, X):
+                alpha = a_step
+
+        # A step at (A_k, X_{k+1}, U_k)
+        RT = X_new @ T
+
+        def value_A(Ac):
+            WAc, Ec = _residual(Ac, X_new, op, T, Y)
+            return _lagrangian(Ec, U), (WAc, Ec)
+
+        A_new, b_step, jt, aux = backtracking(
+            A, _grad_maps(op, E, U, RT), project_A, value_A, jt, 2.0 * beta)
+        if b_step > 0.0:
+            WA, E = aux
+            if not np.array_equal(A_new, A):
+                beta = b_step
+        failed = (a_step == 0.0) + (b_step == 0.0)
+        step_failures += failed
+
+        # error feedback and bookkeeping; E = Y - W A X T at the new iterate.
+        # Ascent on the multiplier of the data-consistency constraint: the
+        # accumulated under-fit is fed back into the data term, which is what
+        # accelerates the residual decay.  (The opposite sign winds up and
+        # collapses the iterates; see the gradient convention in lagrangian_value.)
+        if rho:
+            U = U + rho * E
+        # same float chain as objective(): 0.5 * sum(E^2), so an external
+        # recomputation at the stored iterate reproduces the record exactly
+        obj = _misfit(E)
+        resid = np.sqrt(2.0 * obj)
+        record = IterationRecord(
+            iteration=k, objective=obj,
+            eps_abs=resid / norm_Y if norm_Y > 0 else (0.0 if resid == 0 else np.inf),
+            eps_rel=float(np.linalg.norm(A_new - A) + np.linalg.norm(X_new - X)),
+            alpha=a_step, beta=b_step)
+        history.append(record)
+        A, X = A_new, X_new
+        if callback is not None:
+            callback(k, A, X, record)
+        if record.eps_abs <= eps_abs_tol or (
+                not failed and record.eps_rel <= eps_rel_tol):
+            return A, X, U, history, True, step_failures
+        if failed == 2:
+            break
+    return A, X, U, history, False, step_failures
+
+
 @dataclass
 class AapmConfig:
     rho: float = 1e-2
@@ -144,8 +237,6 @@ class AapmConfig:
     def __post_init__(self):
         if not 0.0 <= self.rho < 1.0:
             raise ValueError(f"rho must lie in [0, 1), got {self.rho}")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
 
 
 @dataclass
@@ -172,7 +263,9 @@ def aapm(op: TomoOperator, T, Y: np.ndarray, n_materials: int,
 
     Stops when either the data residual ``||Y - W A R T|| / ||Y||`` falls
     below ``eps_abs_tol``, the iterate movement ``||dA|| + ||dR||`` falls
-    below ``eps_rel_tol``, or `max_iter` is reached.
+    below ``eps_rel_tol`` in an iteration where no line search failed, or
+    `max_iter` is reached.  An iteration in which both line searches fail
+    moves nothing, so the run stops there with ``converged=False``.
 
     Parameters
     ----------
@@ -197,95 +290,13 @@ def aapm(op: TomoOperator, T, Y: np.ndarray, n_materials: int,
         raise ValueError(f"data must be {(op.n_rays, T.shape[1])}, got {Y.shape}")
 
     A, R = _initial_point(op.n_image, M, D, cfg)
-    U = np.zeros_like(Y)
-    WA = op.forward(A)
-    norm_Y = float(np.linalg.norm(Y))
-    alpha = beta = cfg.step0
-    history: list[IterationRecord] = []
-    step_failures = 0
-    converged = False
-
-    for k in range(1, cfg.max_iter + 1):
-        # coefficient step at (A_k, R_k, U_k); WA is cached from the A step
-        RT = R @ T
-        E = Y - WA @ RT
-        jt = 0.5 * float(np.sum(E ** 2)) + float(np.vdot(U, E))
-        if not np.isfinite(jt):
-            raise RuntimeError(
-                f"non-finite objective at iteration {k}: {jt!r}; "
-                "check the data scaling and step sizes")
-        G_R = -(WA.T @ (E + U) @ T.T)
-
-        def value_R(Rc):
-            Ec = Y - WA @ (Rc @ T)
-            return 0.5 * float(np.sum(Ec ** 2)) + float(np.vdot(U, Ec)), Ec
-
-        R_new, a_step, jt, E = _tracked_backtracking(
-            R, G_R, project_doubly_capped, value_R, jt, 2.0 * alpha, E)
-        if a_step == 0.0:
-            step_failures += 1
-        elif not np.array_equal(R_new, R):
-            # grow the memorized step only on real movement, otherwise a
-            # stalled block would double it without bound
-            alpha = a_step
-
-        # map step at (A_k, R_{k+1}, U_k)
-        RT = R_new @ T
-        G_A = op.adjoint(-(E + U) @ RT.T)
-
-        def value_A(Ac):
-            WAc = op.forward(Ac)
-            Ec = Y - WAc @ RT
-            return (0.5 * float(np.sum(Ec ** 2)) + float(np.vdot(U, Ec)),
-                    (WAc, Ec))
-
-        A_new, b_step, jt, aux = _tracked_backtracking(
-            A, G_A, project_material_map, value_A, jt, 2.0 * beta, (WA, E))
-        WA, E = aux
-        if b_step == 0.0:
-            step_failures += 1
-        elif not np.array_equal(A_new, A):
-            beta = b_step
-
-        # error feedback and bookkeeping; E = Y - W A R T at the new iterate.
-        # Ascent on the multiplier of the data-consistency constraint: the
-        # accumulated under-fit is fed back into the data term, which is
-        # what accelerates the residual decay.  (The opposite sign winds up
-        # and collapses the iterates; see the gradient convention in
-        # lagrangian_value.)
-        U = U + cfg.rho * E
-        # same float chain as objective(): 0.5 * sum(E^2), so an external
-        # recomputation at the stored iterate reproduces the record exactly
-        obj = 0.5 * float(np.sum(E ** 2))
-        resid = np.sqrt(2.0 * obj)
-        record = IterationRecord(
-            iteration=k,
-            objective=obj,
-            eps_abs=resid / norm_Y if norm_Y > 0 else (0.0 if resid == 0 else np.inf),
-            eps_rel=float(np.linalg.norm(A_new - A) + np.linalg.norm(R_new - R)),
-            alpha=a_step,
-            beta=b_step,
-        )
-        history.append(record)
-        A, R = A_new, R_new
-        if cfg.callback is not None:
-            cfg.callback(k, A, R, record)
-        if record.eps_abs <= cfg.eps_abs_tol or record.eps_rel <= cfg.eps_rel_tol:
-            converged = True
-            break
-
-    return AapmResult(A=A, R=R, U=U, F=R @ T, history=history,
-                      converged=converged, n_iter=len(history),
-                      step_failures=step_failures)
-
-
-def _tracked_backtracking(x, grad, project, value_at, current, step0, current_aux):
-    """Backtracking that falls back to the current iterate's auxiliaries."""
-    x_new, step, value, aux = backtracking(x, grad, project, value_at,
-                                           current, step0)
-    if step == 0.0:
-        return x, 0.0, current, current_aux
-    return x_new, step, value, aux
+    A, R, U, history, converged, step_failures = _alternating_pg(
+        op, T, Y, A, R, project_material_map, project_doubly_capped,
+        cfg.rho, cfg.max_iter, cfg.eps_abs_tol, cfg.eps_rel_tol, cfg.step0,
+        cfg.callback)
+    return AapmResult(A=A, R=R, U=np.zeros_like(Y) if U is None else U,
+                      F=R @ T, history=history, converged=converged,
+                      n_iter=len(history), step_failures=step_failures)
 
 
 def _initial_point(N, M, D, cfg: AapmConfig):
@@ -329,7 +340,8 @@ class FactorResult:
 def cjoint(op: TomoOperator, Y: np.ndarray, n_materials: int,
            config: CjointConfig | None = None) -> FactorResult:
     """Alternating projected-gradient minimization of
-    ``0.5 ||Y - W A F||_F^2`` under nonnegativity of both factors."""
+    ``0.5 ||Y - W A F||_F^2`` under nonnegativity of both factors: the loop
+    of :func:`aapm` with T = I, rho = 0 and clipping as both projections."""
     cfg = config or CjointConfig()
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
     M = int(n_materials)
@@ -341,62 +353,15 @@ def cjoint(op: TomoOperator, Y: np.ndarray, n_materials: int,
 
     clip = lambda X: np.maximum(X, 0.0)
     A = np.full((N, M), 1.0 / (2 * M))
-    WA = op.forward(A)
     # scale-matched flat start for F: least-squares optimal constant
-    rs = WA.sum(axis=1)
+    rs = op.forward(A).sum(axis=1)
     denom = C * float(np.sum(rs ** 2))
     scale = max(float(rs @ Y.sum(axis=1)) / denom, 0.0) if denom > 0 else 0.0
     F = np.full((M, C), scale)
 
-    norm_Y = float(np.linalg.norm(Y))
-    alpha = beta = cfg.step0
-    history: list[IterationRecord] = []
-    converged = False
-
-    for k in range(1, cfg.max_iter + 1):
-        E = Y - WA @ F
-        j_cur = 0.5 * float(np.sum(E ** 2))
-        if not np.isfinite(j_cur):
-            raise RuntimeError(f"non-finite objective at iteration {k}")
-        G_F = -(WA.T @ E)
-
-        def value_F(Fc):
-            Ec = Y - WA @ Fc
-            return 0.5 * float(np.sum(Ec ** 2)), Ec
-
-        F_new, a_step, j_cur, E = _tracked_backtracking(
-            F, G_F, clip, value_F, j_cur, 2.0 * alpha, E)
-        if a_step > 0 and not np.array_equal(F_new, F):
-            alpha = a_step
-
-        G_A = op.adjoint(-(E @ F_new.T))
-
-        def value_A(Ac):
-            WAc = op.forward(Ac)
-            Ec = Y - WAc @ F_new
-            return 0.5 * float(np.sum(Ec ** 2)), (WAc, Ec)
-
-        A_new, b_step, j_cur, aux = _tracked_backtracking(
-            A, G_A, clip, value_A, j_cur, 2.0 * beta, (WA, E))
-        WA, E = aux
-        if b_step > 0 and not np.array_equal(A_new, A):
-            beta = b_step
-
-        obj = 0.5 * float(np.sum(E ** 2))
-        resid = np.sqrt(2.0 * obj)
-        record = IterationRecord(
-            iteration=k, objective=obj,
-            eps_abs=resid / norm_Y if norm_Y > 0 else (0.0 if resid == 0 else np.inf),
-            eps_rel=float(np.linalg.norm(A_new - A) + np.linalg.norm(F_new - F)),
-            alpha=a_step, beta=b_step)
-        history.append(record)
-        A, F = A_new, F_new
-        if cfg.callback is not None:
-            cfg.callback(k, A, F, record)
-        if record.eps_abs <= cfg.tol:
-            converged = True
-            break
-
+    A, F, _, history, converged, _ = _alternating_pg(
+        op, np.eye(C), Y, A, F, clip, clip, 0.0, cfg.max_iter, cfg.tol, 0.0,
+        cfg.step0, cfg.callback)
     A, F = _normalize_factor_scale(A, F)
     return FactorResult(A=A, F=F, history=history, converged=converged,
                         n_iter=len(history))

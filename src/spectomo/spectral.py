@@ -51,7 +51,6 @@ class ChannelBinning:
     """Detector energy channels, identified by their energetic centers."""
 
     centers: np.ndarray              # (C,) ascending, keV
-    edges: np.ndarray | None = None  # optional (C, 2) [e_min, e_max] per channel
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.centers, dtype=np.float64))
@@ -119,8 +118,6 @@ class SpectralSinogram:
     """Log-corrected measurements, one column per energy channel."""
 
     Y: np.ndarray                    # (J, C)
-    geometry: ParallelGeometry | None = None
-    binning: ChannelBinning | None = None
 
     def __post_init__(self):
         Y = np.atleast_2d(np.asarray(self.Y, dtype=np.float64))
@@ -195,9 +192,7 @@ def simulate_counts(phantom_hi: MaterialMap, recon_grid: Grid2D,
     return mean
 
 
-def log_correct(counts: np.ndarray, source: SourceSpectrum,
-                geometry: ParallelGeometry | None = None,
-                binning: ChannelBinning | None = None) -> SpectralSinogram:
+def log_correct(counts: np.ndarray, source: SourceSpectrum) -> SpectralSinogram:
     """Flatfield-normalized negative log of the counts.
 
     Counts below ``COUNT_FLOOR`` (one photon) are clamped first, so the
@@ -210,7 +205,7 @@ def log_correct(counts: np.ndarray, source: SourceSpectrum,
         raise ValueError(f"counts have {counts.shape[1]} channels, "
                          f"source has {source.intensity.size}")
     Y = -np.log(np.maximum(counts, COUNT_FLOOR) / source.intensity[None, :])
-    return SpectralSinogram(Y=Y, geometry=geometry, binning=binning)
+    return SpectralSinogram(Y=Y)
 
 
 def add_gaussian_noise(Y: np.ndarray, strength_percent: float,

@@ -175,6 +175,19 @@ class TestSweepRho:
         b = cli.cmd_sweep_rho(run_dir, rho_list=(0.01,), max_iter=6)[0].read_text()
         assert a == b
 
+    def test_same_history_format_as_reconstruct(self, run_dir):
+        method_dir = cli.cmd_reconstruct(run_dir, method="adjust",
+                                         method_params={"rho": 0.01,
+                                                        "max_iter": 6})
+        path = cli.cmd_sweep_rho(run_dir, rho_list=(0.01,), max_iter=6)[0]
+        assert path.read_bytes() == (method_dir / "history.csv").read_bytes()
+
+    def test_unknown_method_params_rejected(self, tmp_path):
+        out = tmp_path / "run"
+        cli.cmd_simulate(parse_config(tiny_config(method_params={"bogus": 1})), out)
+        with pytest.raises(ValueError, match="unknown method parameters"):
+            cli.cmd_sweep_rho(out, rho_list=(0.01,), max_iter=2)
+
     def test_palm_history_monotone(self, run_dir):
         path = cli.cmd_sweep_rho(run_dir, rho_list=(0.0,), max_iter=10)[0]
         objs = [float(line.split(",")[1])

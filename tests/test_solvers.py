@@ -302,6 +302,37 @@ class TestCjoint:
         assert j_cjoint <= 1.05 * j_oracle + slack
 
 
+# the two alternating solvers share one loop, so they share its checks
+ALTERNATING = [
+    pytest.param(lambda op, T, Y, n: aapm(op, T, Y, 2, AapmConfig(max_iter=n)),
+                 id="aapm"),
+    pytest.param(lambda op, T, Y, n: cjoint(op, Y, 2, CjointConfig(max_iter=n)),
+                 id="cjoint"),
+]
+
+
+@pytest.mark.parametrize("solve", ALTERNATING)
+def test_iteration_budget_validated(solve):
+    op, T, A_true, R_true, Y = exact_instance()
+    with pytest.raises(ValueError, match="max_iter"):
+        solve(op, T, Y, 0)
+
+
+@pytest.mark.parametrize("solve", ALTERNATING)
+def test_stall_is_not_convergence(solve, monkeypatch):
+    # both line searches fail, so nothing moves: stop at once, unconverged
+    def never_accept(x, grad, project, value_at, current_value, step0):
+        return x, 0.0, current_value, None
+
+    monkeypatch.setattr(solvers, "backtracking", never_accept)
+    op, T, A_true, R_true, Y = exact_instance()
+    res = solve(op, T, Y, 20)
+    assert not res.converged
+    assert res.n_iter == 1
+    assert res.history[0].alpha == res.history[0].beta == 0.0
+    assert getattr(res, "step_failures", 2) == 2     # cjoint does not count them
+
+
 class TestTwoStep:
     def test_default_settings(self):
         cfg = TwoStepConfig()
