@@ -336,16 +336,17 @@ def cmd_sweep_rho(out_dir: Path, rho_list=DEFAULT_RHO_SWEEP,
     out_dir = Path(out_dir)
     manifest = _load_manifest(out_dir)
     cfg = parse_config(manifest["config"])
-    op = _operator_from_manifest(manifest)
-    Y = data_io.load_matrix(out_dir / manifest["files"]["sinogram"])
-    T = data_io.load_matrix(out_dir / manifest["files"]["dictionary"])
-    M = manifest["n_materials"]
     params = {}
     if cfg.method == "adjust":
         params = _known(cfg.method_params, METHOD_PARAMS["adjust"])
         params.pop("rho", None)
     if max_iter is not None:
         params["max_iter"] = max_iter
+
+    op = _operator_from_manifest(manifest)
+    Y = data_io.load_matrix(out_dir / manifest["files"]["sinogram"])
+    T = data_io.load_matrix(out_dir / manifest["files"]["dictionary"])
+    M = manifest["n_materials"]
 
     sweep_dir = out_dir / "sweep"
     sweep_dir.mkdir(exist_ok=True)

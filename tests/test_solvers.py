@@ -330,7 +330,8 @@ def test_stall_is_not_convergence(solve, monkeypatch):
     assert not res.converged
     assert res.n_iter == 1
     assert res.history[0].alpha == res.history[0].beta == 0.0
-    assert getattr(res, "step_failures", 2) == 2     # cjoint does not count them
+    if isinstance(res, solvers.AapmResult):          # cjoint does not count them
+        assert res.step_failures == 2
 
 
 class TestTwoStep:
