@@ -223,36 +223,17 @@ def cmd_reconstruct(out_dir: Path, method: str | None = None,
     if seed is None:
         seed = manifest["seed"]
 
-    op = _operator_from_manifest(manifest)
-    Y = data_io.load_matrix(out_dir / manifest["files"]["sinogram"])
-    T = data_io.load_matrix(out_dir / manifest["files"]["dictionary"])
-    M = manifest["n_materials"]
-
+    problem = _load_problem(out_dir, manifest)
     method_dir = out_dir / method
     method_dir.mkdir(exist_ok=True)
     t0 = time.perf_counter()
-    with data_io.history_csv(method_dir / "history.csv") as write_row:
-        def log_record(_k, _A, _X, record):
-            write_row(record)
-
-        if method == "adjust":
-            config = solvers.AapmConfig(seed=seed, callback=log_record, **known)
-            result = solvers.aapm(op, T, Y, M, config)
-            data_io.save_matrix(method_dir / "coeffs.adjm", result.R)
-            A, F = result.A, result.F
-        elif method == "cjoint":
-            config = solvers.CjointConfig(callback=log_record, **known)
-            result = solvers.cjoint(op, Y, M, config)
-            A, F = result.A, result.F
-        else:
-            config = solvers.TwoStepConfig(seed=seed, **known)
-            runner = solvers.ru if method == "ru" else solvers.ur
-            result = runner(op, Y, M, config)
-            A, F = result.A, result.F
+    result = _solve(method, problem, known, seed, method_dir / "history.csv")
     elapsed = time.perf_counter() - t0
 
-    data_io.save_matrix(method_dir / "maps.adjm", A)
-    data_io.save_matrix(method_dir / "spectra.adjm", F)
+    if method == "adjust":
+        data_io.save_matrix(method_dir / "coeffs.adjm", result.R)
+    data_io.save_matrix(method_dir / "maps.adjm", result.A)
+    data_io.save_matrix(method_dir / "spectra.adjm", result.F)
     with open(method_dir / "reconstruct_meta.json", "w", encoding="utf-8") as fh:
         json.dump({"method": method, "seconds": elapsed, "params": params,
                    "seed": seed}, fh, indent=2)
@@ -288,32 +269,23 @@ def cmd_evaluate(out_dir: Path, method: str | None = None) -> dict:
         data_io.export_pgm16(path, img, 0.0, vmax)
         image_paths.append(str(path))
 
-    centers = manifest["channel_centers"]
     spectra_path = method_dir / "spectra_recovered.csv"
-    with open(spectra_path, "w", encoding="utf-8", newline="\n") as fh:
-        cols = ",".join(f"material_{m}" for m in range(F_rec.shape[0]))
-        fh.write(f"channel,energy_keV,{cols}\n")
-        for c in range(F_rec.shape[1]):
-            vals = ",".join(format(v, ".17g") for v in F_rec[:, c])
-            fh.write(f"{c},{format(centers[c], '.17g')},{vals}\n")
+    data_io.write_spectra_csv(spectra_path, F_rec, manifest["channel_centers"])
 
     meta_path = method_dir / "reconstruct_meta.json"
     solve_seconds = None
     if meta_path.exists():
         solve_seconds = json.loads(meta_path.read_text())["seconds"]
 
-    def cap(v):
-        return evaluation.PSNR_SATURATION_DB if np.isinf(v) else v
-
     report = {
         "config": manifest["config"],
         "method": method,
         "pairs": [list(p) for p in match.pairs],
         "mse": match.mse_values,
-        "psnr": [cap(v) for v in match.psnr_values],
+        "psnr": [data_io.cap_psnr(v) for v in match.psnr_values],
         "ssim": match.ssim_values,
         "mse_avg": match.mse_avg,
-        "psnr_avg": cap(match.psnr_avg),
+        "psnr_avg": data_io.cap_psnr(match.psnr_avg),
         "ssim_avg": match.ssim_avg,
         "solve_seconds": solve_seconds,
         "evaluate_seconds": time.perf_counter() - t0,
@@ -339,27 +311,16 @@ def cmd_sweep_rho(out_dir: Path, rho_list=DEFAULT_RHO_SWEEP,
     params = {}
     if cfg.method == "adjust":
         params = _known(cfg.method_params, METHOD_PARAMS["adjust"])
-        params.pop("rho", None)
     if max_iter is not None:
         params["max_iter"] = max_iter
 
-    op = _operator_from_manifest(manifest)
-    Y = data_io.load_matrix(out_dir / manifest["files"]["sinogram"])
-    T = data_io.load_matrix(out_dir / manifest["files"]["dictionary"])
-    M = manifest["n_materials"]
-
+    problem = _load_problem(out_dir, manifest)
     sweep_dir = out_dir / "sweep"
     sweep_dir.mkdir(exist_ok=True)
     paths = []
     for rho in rho_list:
         path = sweep_dir / f"history_rho_{rho:g}.csv"
-        with data_io.history_csv(path) as write_row:
-            def log_record(_k, _A, _R, record):
-                write_row(record)
-
-            config = solvers.AapmConfig(rho=rho, seed=manifest["seed"],
-                                        callback=log_record, **params)
-            solvers.aapm(op, T, Y, M, config)
+        _solve("adjust", problem, {**params, "rho": rho}, manifest["seed"], path)
         paths.append(path)
     return paths
 
@@ -372,6 +333,34 @@ def cmd_pipeline(cfg: RunConfig, out_dir: Path,
     report = cmd_evaluate(out_dir, method=cfg.method)
     cmd_sweep_rho(out_dir, rho_list=rho_list)
     return report
+
+
+def _load_problem(out_dir: Path, manifest: dict):
+    """The operator, data, dictionary and material count of a simulated run."""
+    files = manifest["files"]
+    return (_operator_from_manifest(manifest),
+            data_io.load_matrix(out_dir / files["sinogram"]),
+            data_io.load_matrix(out_dir / files["dictionary"]),
+            manifest["n_materials"])
+
+
+def _solve(method: str, problem, params: dict, seed: int, history_path: Path):
+    """Run one method on ``(op, Y, T, M)`` and return the solver's result;
+    `adjust` and `cjoint` stream their iteration history to `history_path`,
+    which the two-step baselines leave with the header only."""
+    op, Y, T, M = problem
+    with data_io.history_csv(history_path) as write_row:
+        def log_record(_k, _A, _X, record):
+            write_row(record)
+
+        if method == "adjust":
+            return solvers.aapm(op, T, Y, M, solvers.AapmConfig(
+                seed=seed, callback=log_record, **params))
+        if method == "cjoint":
+            return solvers.cjoint(op, Y, M, solvers.CjointConfig(
+                callback=log_record, **params))
+        runner = solvers.ru if method == "ru" else solvers.ur
+        return runner(op, Y, M, solvers.TwoStepConfig(seed=seed, **params))
 
 
 def _known(params: dict, keys) -> dict:

@@ -306,10 +306,17 @@ def parse_config(raw: dict, base_dir: Path | str = ".") -> RunConfig:
         material_rows=list(raw["material_rows"]) if "material_rows" in raw else None,
         raw=dict(raw),
     )
-    try:
-        cfg.n_phantom_materials()
-    except KeyError as exc:
-        raise FormatError(f"phantom section missing key {exc}") from exc
+    # build what the commands build, so a bad section fails here, by name
+    for section, build in (("phantom", cfg.grid),
+                           ("phantom", cfg.n_phantom_materials),
+                           ("geometry", cfg.parallel_geometry),
+                           ("binning", cfg.channel_binning)):
+        try:
+            build()
+        except KeyError as exc:
+            raise FormatError(f"{section} section missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"{section} section invalid: {exc}") from exc
     return cfg
 
 
@@ -335,18 +342,31 @@ def write_history_csv(path, records) -> None:
             write(r)
 
 
+def cap_psnr(value: float, saturation: float = PSNR_SATURATION_DB) -> float:
+    """An infinite PSNR (an exact match) as the saturation value."""
+    return saturation if np.isinf(value) else value
+
+
 def write_results_csv(path, method: str, match,
                       psnr_saturation: float = PSNR_SATURATION_DB) -> None:
     """Per-pair metric rows plus an ``average`` row; infinite PSNR values
     are written as the saturation value."""
-    def cap(v):
-        return psnr_saturation if np.isinf(v) else v
-
+    psnr = [cap_psnr(p, psnr_saturation) for p in match.psnr_values]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("method,material_rec,material_gt,mse,psnr,ssim\n")
-        for (i, j), m, p, s in zip(match.pairs, match.mse_values,
-                                   match.psnr_values, match.ssim_values):
-            fh.write(f"{method},{i},{j},{_fmt(m)},{_fmt(cap(p))},{_fmt(s)}\n")
-        psnr_avg = float(np.mean([cap(p) for p in match.psnr_values]))
+        for (i, j), m, p, s in zip(match.pairs, match.mse_values, psnr,
+                                   match.ssim_values):
+            fh.write(f"{method},{i},{j},{_fmt(m)},{_fmt(p)},{_fmt(s)}\n")
         fh.write(f"{method},average,average,{_fmt(match.mse_avg)},"
-                 f"{_fmt(psnr_avg)},{_fmt(match.ssim_avg)}\n")
+                 f"{_fmt(float(np.mean(psnr)))},{_fmt(match.ssim_avg)}\n")
+
+
+def write_spectra_csv(path, F: np.ndarray, centers) -> None:
+    """Recovered spectra, one row per channel: the channel index, its
+    center energy, then one column per material."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        cols = ",".join(f"material_{m}" for m in range(F.shape[0]))
+        fh.write(f"channel,energy_keV,{cols}\n")
+        for c in range(F.shape[1]):
+            vals = ",".join(_fmt(v) for v in F[:, c])
+            fh.write(f"{c},{_fmt(centers[c])},{vals}\n")

@@ -2,10 +2,10 @@
 
 The main solver `aapm` alternates projected-gradient steps on the
 dictionary coefficients and the material maps (one step per block per outer
-iteration, step lengths by backtracking), with an optional
-running-sum-of-errors feedback term controlled by ``rho``.  With
-``rho = 0`` the feedback is off and the objective decreases monotonically;
-``rho > 0`` accelerates the residual decay at the price of monotonicity.
+iteration, step lengths by backtracking).  With ``rho > 0`` the steps fit
+the shifted data ``Y + U``, where the running sum of errors ``U`` gains
+``rho`` times the residual each iteration; this speeds the residual decay
+but gives up monotonicity, which ``rho = 0`` (fitting ``Y`` itself) keeps.
 The dictionary-free joint baseline `cjoint` is the same loop with T = I,
 rho = 0 and clipping at zero as both projections.  Also here: the two
 sequential baselines `ru` (reconstruct each channel, then factorize the
@@ -39,50 +39,48 @@ MAX_HALVINGS = 30
 def objective(A: np.ndarray, R: np.ndarray, op: TomoOperator,
               T: np.ndarray, Y: np.ndarray) -> float:
     """Least-squares misfit ``0.5 * ||Y - W A R T||_F^2``."""
-    return _misfit(_residual(A, R, op, _dict_matrix(T), Y)[1])
+    return _misfit(Y - _predict(A, R, op, _dict_matrix(T))[1])
 
 
 def lagrangian_value(A, R, U, op, T, Y) -> float:
-    """Misfit plus the running-sum-of-errors inner product."""
-    return _lagrangian(_residual(A, R, op, _dict_matrix(T), Y)[1], U)
+    """Misfit plus the running-sum-of-errors inner product ``<U, E>``."""
+    E = Y - _predict(A, R, op, _dict_matrix(T))[1]
+    return _misfit(E) + float(np.vdot(U, E))
 
 
 def grad_maps(A, R, U, op, T, Y) -> np.ndarray:
     """Gradient of :func:`lagrangian_value` with respect to the maps:
     ``W^T (W A R T - Y - U) T^T R^T``."""
     T = _dict_matrix(T)
-    return _grad_maps(op, _residual(A, R, op, T, Y)[1], U, R @ T)
+    return _grad_maps(op, Y + U - _predict(A, R, op, T)[1], R @ T)
 
 
 def grad_coeffs(A, R, U, op, T, Y) -> np.ndarray:
     """Gradient with respect to the coefficients:
     ``A^T W^T (W A R T - Y - U) T^T``."""
     T = _dict_matrix(T)
-    return _grad_coeffs(*_residual(A, R, op, T, Y), U, T)
+    WA, P = _predict(A, R, op, T)
+    return _grad_coeffs(WA, Y + U - P, T)
 
 
-# The solver keeps ``WA = W A`` and ``E = Y - WA @ (R @ T)`` to repeat no
-# projector call; U is None at rho = 0, which saves `cjoint` 12% per iteration.
+# 0.5 ||E||^2 + <U, E> = 0.5 ||Y + U - W A R T||^2 - 0.5 ||U||^2, so the solver
+# fits Y + U.  It keeps WA = W A and that residual to repeat no projector call.
 
-def _residual(A, R, op, T, Y):
+def _predict(A, R, op, T):
     WA = op.forward(A)
-    return WA, Y - WA @ (R @ T)
+    return WA, WA @ (R @ T)
 
 
 def _misfit(E) -> float:
     return 0.5 * float(np.sum(E ** 2))
 
 
-def _lagrangian(E, U) -> float:
-    return _misfit(E) + (0.0 if U is None else float(np.vdot(U, E)))
+def _grad_coeffs(WA, E, T) -> np.ndarray:
+    return -(WA.T @ E @ T.T)
 
 
-def _grad_coeffs(WA, E, U, T) -> np.ndarray:
-    return -(WA.T @ (E if U is None else E + U) @ T.T)
-
-
-def _grad_maps(op, E, U, RT) -> np.ndarray:
-    return op.adjoint(-((E if U is None else E + U) @ RT.T))
+def _grad_maps(op, E, RT) -> np.ndarray:
+    return op.adjoint(-(E @ RT.T))
 
 
 def _dict_matrix(T) -> np.ndarray:
@@ -147,31 +145,32 @@ class IterationRecord:
 def _alternating_pg(op, T, Y, A, X, project_A, project_X, rho, max_iter,
                     eps_abs_tol, eps_rel_tol, step0, callback):
     """The loop of `aapm` and `cjoint` (`aapm` gives the stopping rule); returns
-    ``(A, X, U, history, converged, step_failures)``, U None if rho = 0."""
+    ``(A, X, U, history, converged, step_failures)``."""
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    U = np.zeros_like(Y) if rho else None
-    WA, E = _residual(A, X, op, T, Y)
+    U = np.zeros_like(Y)
+    Yk = Y                            # the shifted data Y + U
+
+    def value(WAc, RTc):
+        Ec = Yk - WAc @ RTc
+        return _misfit(Ec), (WAc, Ec)
+
+    jt, (WA, E) = value(op.forward(A), X @ T)
     norm_Y = float(np.linalg.norm(Y))
     alpha = beta = step0
     history: list[IterationRecord] = []
     step_failures = 0
 
     for k in range(1, max_iter + 1):
-        # X step at (A_k, X_k, U_k); WA and E are kept from the A step
-        jt = _lagrangian(E, U)
+        # X step at (A_k, X_k, U_k); WA, E and jt are kept from the A step
         if not np.isfinite(jt):
             raise RuntimeError(f"non-finite objective at iteration {k}: {jt!r}; "
                                "check the data scaling and step sizes")
-
-        def value_X(Xc):
-            Ec = Y - WA @ (Xc @ T)
-            return _lagrangian(Ec, U), Ec
-
         X_new, a_step, jt, aux = backtracking(
-            X, _grad_coeffs(WA, E, U, T), project_X, value_X, jt, 2.0 * alpha)
+            X, _grad_coeffs(WA, E, T), project_X,
+            lambda Xc: value(WA, Xc @ T), jt, 2.0 * alpha)
         if a_step > 0.0:
-            E = aux
+            E = aux[1]
             # grow the memorized step only on real movement, otherwise a
             # stalled block would double it without bound
             if not np.array_equal(X_new, X):
@@ -179,14 +178,9 @@ def _alternating_pg(op, T, Y, A, X, project_A, project_X, rho, max_iter,
 
         # A step at (A_k, X_{k+1}, U_k)
         RT = X_new @ T
-
-        def value_A(Ac):
-            WAc = op.forward(Ac)
-            Ec = Y - WAc @ RT
-            return _lagrangian(Ec, U), (WAc, Ec)
-
         A_new, b_step, jt, aux = backtracking(
-            A, _grad_maps(op, E, U, RT), project_A, value_A, jt, 2.0 * beta)
+            A, _grad_maps(op, E, RT), project_A,
+            lambda Ac: value(op.forward(Ac), RT), jt, 2.0 * beta)
         if b_step > 0.0:
             WA, E = aux
             if not np.array_equal(A_new, A):
@@ -194,16 +188,21 @@ def _alternating_pg(op, T, Y, A, X, project_A, project_X, rho, max_iter,
         failed = (a_step == 0.0) + (b_step == 0.0)
         step_failures += failed
 
-        # error feedback and bookkeeping; E = Y - W A X T at the new iterate.
-        # Ascent on the multiplier of the data-consistency constraint: the
-        # accumulated under-fit is fed back into the data term, which is what
-        # accelerates the residual decay.  (The opposite sign winds up and
-        # collapses the iterates; see the gradient convention in lagrangian_value.)
+        # error feedback, ascent on the multiplier of the data constraint: adding
+        # the accumulated under-fit back to the data accelerates the residual
+        # decay (the opposite sign winds up and collapses the iterates)
+        obj = jt                      # objective() at the new iterate, exactly
         if rho:
-            U = U + rho * E
-        # same float chain as objective(): 0.5 * sum(E^2), so an external
-        # recomputation at the stored iterate reproduces the record exactly
-        obj = _misfit(E)
+            P = WA @ RT               # the prediction at the new iterate
+            np.subtract(Y, P, out=E)
+            obj = _misfit(E)
+            U += rho * E
+            Yk = Y + U
+            # recomputed from P, not updated, so that a trial which leaves
+            # the iterate as it is reproduces jt exactly and is accepted
+            np.subtract(Yk, P, out=E)
+            jt = _misfit(E)
+            del P                     # one J x C array fewer in the next steps
         resid = np.sqrt(2.0 * obj)
         record = IterationRecord(
             iteration=k, objective=obj,
@@ -258,9 +257,9 @@ def aapm(op: TomoOperator, T, Y: np.ndarray, n_materials: int,
 
     Minimizes ``0.5 ||Y - W A R T||_F^2`` over maps ``A`` in the row-capped
     simplex and coefficients ``R`` in the doubly capped set, alternating a
-    projected gradient step on ``R`` and then on ``A`` each iteration,
-    followed by the running-sum-of-errors update ``U += rho (Y - W A R T)``
-    (multiplier ascent on the data-consistency constraint).
+    projected gradient step on ``R`` and then on ``A`` on the shifted data
+    ``Y + U``; the running sum of errors ``U`` starts at zero and grows by
+    ``rho (Y - W A R T)`` after each iteration (multiplier ascent).
 
     Stops when either the data residual ``||Y - W A R T|| / ||Y||`` falls
     below ``eps_abs_tol``, the iterate movement ``||dA|| + ||dR||`` falls
@@ -295,9 +294,9 @@ def aapm(op: TomoOperator, T, Y: np.ndarray, n_materials: int,
         op, T, Y, A, R, project_material_map, project_doubly_capped,
         cfg.rho, cfg.max_iter, cfg.eps_abs_tol, cfg.eps_rel_tol, cfg.step0,
         cfg.callback)
-    return AapmResult(A=A, R=R, U=np.zeros_like(Y) if U is None else U,
-                      F=R @ T, history=history, converged=converged,
-                      n_iter=len(history), step_failures=step_failures)
+    return AapmResult(A=A, R=R, U=U, F=R @ T, history=history,
+                      converged=converged, n_iter=len(history),
+                      step_failures=step_failures)
 
 
 def _initial_point(N, M, D, cfg: AapmConfig):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -139,6 +140,39 @@ class TestReconstructEvaluate:
                             data_io.load_matrix(run_dir / "spectra_true.adjm"))
         report = cli.cmd_evaluate(run_dir, method="adjust")
         assert report["ssim_avg"] == 1.0
+
+    def test_output_bytes_match_recorded_run(self, run_dir):
+        # digests and text recorded from a run of the same inputs before the
+        # evaluate writers moved into data_io
+        gt = data_io.load_matrix(run_dir / "ground_truth.adjm")
+        method_dir = run_dir / "adjust"
+        method_dir.mkdir(exist_ok=True)
+        data_io.save_matrix(method_dir / "maps.adjm", gt[:, ::-1])
+        data_io.save_matrix(method_dir / "spectra.adjm",
+                            np.arange(10.0).reshape(2, 5) / 3)
+        cli.cmd_evaluate(run_dir, method="adjust")
+        assert (method_dir / "spectra_recovered.csv").read_text() == (
+            "channel,energy_keV,material_0,material_1\n"
+            "0,5,0,1.6666666666666667\n"
+            "1,12.5,0.33333333333333331,2\n"
+            "2,20,0.66666666666666663,2.3333333333333335\n"
+            "3,27.5,1,2.6666666666666665\n"
+            "4,35,1.3333333333333333,3\n")
+        assert (method_dir / "results.csv").read_text() == (
+            "method,material_rec,material_gt,mse,psnr,ssim\n"
+            "adjust,0,1,0,99,1\n"
+            "adjust,1,0,0,99,1\n"
+            "adjust,average,average,0,99,1\n")
+        report = json.loads((method_dir / "report.json").read_text())
+        del report["evaluate_seconds"], report["artifacts"]
+        digests = {
+            "map_00.pgm": "c1793fb39e7026582454e313ba7572c3b6861dbbd7a78c8086c1d617375be4e0",
+            "map_01.pgm": "68c702ee477c1b662431b91bccd91c17ee85fb1012f46055ddf7878d39feb8a5",
+        }
+        for name, digest in digests.items():
+            assert hashlib.sha256((method_dir / name).read_bytes()).hexdigest() == digest
+        assert hashlib.sha256(json.dumps(report, indent=2).encode()).hexdigest() == (
+            "65f2f8db675dfaaaad19f00eb659b9f12218797a8737a39d3314ccfff4478cd8")
 
     def test_metrics_match_library_recomputation(self, run_dir):
         cli.cmd_reconstruct(run_dir, method="ru",

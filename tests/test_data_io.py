@@ -252,6 +252,17 @@ class TestRunConfig:
         with pytest.raises(FormatError, match="missing key"):
             parse_config(valid_config(phantom={"kind": "disks", "size": 8}))
 
+    @pytest.mark.parametrize("section,override", [
+        ("binning", {"binning": {"energy_min": 5.0, "energy_max": 35.0}}),
+        ("phantom", {"phantom": {"kind": "disks", "count": 4}}),
+        ("phantom", {"phantom": {"kind": "disks", "size": 0, "count": 4}}),
+        ("geometry", {"geometry": {"angles": {"count": 0, "stop": np.pi},
+                                   "detectors": 32}}),
+    ], ids=["no-channels", "no-size", "zero-size", "zero-angles"])
+    def test_unbuildable_section_rejected(self, section, override):
+        with pytest.raises(FormatError, match=f"^{section} section"):
+            parse_config(valid_config(**override))
+
     def test_invalid_json_reports_position(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{\n  broken\n}")

@@ -77,6 +77,12 @@ class TestGradients:
         assert np.linalg.norm(grad_maps(A_true, R_true, U, op, T, Y)) <= 1e-8 * scale
         assert np.linalg.norm(grad_coeffs(A_true, R_true, U, op, T, Y)) <= 1e-8 * scale
 
+    def test_lagrangian_is_misfit_on_shifted_data(self):
+        # the identity the solver loop relies on to fit Y + U
+        op, T, A, R, U, Y = small_problem(seed=7)
+        shifted = objective(A, R, op, T, Y + U) - 0.5 * np.sum(U ** 2)
+        assert lagrangian_value(A, R, U, op, T, Y) == pytest.approx(shifted, rel=1e-12)
+
     def test_linearity_in_feedback_term(self):
         op, T, A, R, U, Y = small_problem(seed=4)
         rng = np.random.default_rng(5)
@@ -210,6 +216,21 @@ class TestAapm:
         # the recomputed value equals the recorded one bit for bit
         for (A, R, recorded), rec_obj in zip(iterates, objs):
             assert recorded == rec_obj
+
+    def test_feedback_history_records_true_objective(self):
+        # with feedback the loop fits Y + U; the record must hold the misfit
+        # to Y itself at the iterate handed to the callback
+        op, T, A, R, U, Y = small_problem()
+        recorded = []
+
+        def keep(k, A, R, record):
+            recorded.append((record.objective, objective(A, R, op, T, Y)))
+
+        aapm(op, T, Y, 2, AapmConfig(rho=0.05, max_iter=30, callback=keep,
+                                     random_init=True, seed=4))
+        assert len(recorded) == 30
+        for value, recomputed in recorded:
+            assert value == pytest.approx(recomputed, rel=1e-12)
 
     def test_running_sum_recurrence(self):
         op, T, A_true, R_true, Y = exact_instance()
