@@ -342,16 +342,15 @@ def write_history_csv(path, records) -> None:
             write(r)
 
 
-def cap_psnr(value: float, saturation: float = PSNR_SATURATION_DB) -> float:
-    """An infinite PSNR (an exact match) as the saturation value."""
-    return saturation if np.isinf(value) else value
+def cap_psnr(value: float) -> float:
+    """An infinite PSNR (an exact match) as `PSNR_SATURATION_DB`."""
+    return PSNR_SATURATION_DB if np.isinf(value) else value
 
 
-def write_results_csv(path, method: str, match,
-                      psnr_saturation: float = PSNR_SATURATION_DB) -> None:
+def write_results_csv(path, method: str, match) -> None:
     """Per-pair metric rows plus an ``average`` row; infinite PSNR values
-    are written as the saturation value."""
-    psnr = [cap_psnr(p, psnr_saturation) for p in match.psnr_values]
+    are written as `PSNR_SATURATION_DB`."""
+    psnr = [cap_psnr(p) for p in match.psnr_values]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("method,material_rec,material_gt,mse,psnr,ssim\n")
         for (i, j), m, p, s in zip(match.pairs, match.mse_values, psnr,
