@@ -277,15 +277,16 @@ def cmd_evaluate(out_dir: Path, method: str | None = None) -> dict:
     if meta_path.exists():
         solve_seconds = json.loads(meta_path.read_text())["seconds"]
 
+    psnr, psnr_avg = data_io.capped_psnr(match)
     report = {
         "config": manifest["config"],
         "method": method,
         "pairs": [list(p) for p in match.pairs],
         "mse": match.mse_values,
-        "psnr": [data_io.cap_psnr(v) for v in match.psnr_values],
+        "psnr": psnr,
         "ssim": match.ssim_values,
         "mse_avg": match.mse_avg,
-        "psnr_avg": data_io.cap_psnr(match.psnr_avg),
+        "psnr_avg": psnr_avg,
         "ssim_avg": match.ssim_avg,
         "solve_seconds": solve_seconds,
         "evaluate_seconds": time.perf_counter() - t0,

@@ -342,22 +342,25 @@ def write_history_csv(path, records) -> None:
             write(r)
 
 
-def cap_psnr(value: float) -> float:
-    """An infinite PSNR (an exact match) as `PSNR_SATURATION_DB`."""
-    return PSNR_SATURATION_DB if np.isinf(value) else value
+def capped_psnr(match) -> tuple[list[float], float]:
+    """The per-pair PSNR values with an infinite one (an exact match) as
+    `PSNR_SATURATION_DB`, and their mean: the ``psnr_avg`` of both
+    ``results.csv`` and ``report.json``."""
+    psnr = [PSNR_SATURATION_DB if np.isinf(p) else p for p in match.psnr_values]
+    return psnr, float(np.mean(psnr))
 
 
 def write_results_csv(path, method: str, match) -> None:
     """Per-pair metric rows plus an ``average`` row; infinite PSNR values
     are written as `PSNR_SATURATION_DB`."""
-    psnr = [cap_psnr(p) for p in match.psnr_values]
+    psnr, psnr_avg = capped_psnr(match)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("method,material_rec,material_gt,mse,psnr,ssim\n")
         for (i, j), m, p, s in zip(match.pairs, match.mse_values, psnr,
                                    match.ssim_values):
             fh.write(f"{method},{i},{j},{_fmt(m)},{_fmt(p)},{_fmt(s)}\n")
         fh.write(f"{method},average,average,{_fmt(match.mse_avg)},"
-                 f"{_fmt(float(np.mean(psnr)))},{_fmt(match.ssim_avg)}\n")
+                 f"{_fmt(psnr_avg)},{_fmt(match.ssim_avg)}\n")
 
 
 def write_spectra_csv(path, F: np.ndarray, centers) -> None:

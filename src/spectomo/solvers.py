@@ -185,7 +185,7 @@ def _alternating_pg(op, T, Y, A, X, project_A, project_X, rho, max_iter,
             WA, E = aux
             if not np.array_equal(A_new, A):
                 beta = b_step
-        failed = (a_step == 0.0) + (b_step == 0.0)
+        failed = int(a_step == 0.0) + int(b_step == 0.0)
         step_failures += failed
 
         # error feedback, ascent on the multiplier of the data constraint: adding
@@ -427,9 +427,10 @@ def nmf_als(V: np.ndarray, n_components: int, n_iter: int = 100,
             restarts: int = 10, seed: int = 0):
     """Nonnegative factorization ``V ~ A F`` by alternating least squares.
 
-    Each half-step solves the unconstrained least-squares problem and clips
-    at zero.  The factorization is nonconvex, so the best of `restarts`
-    seeded random initializations is kept.
+    Each half-step solves the unconstrained least-squares problem through
+    the k x k Gram matrix of the fixed factor and clips at zero.  The
+    factorization is nonconvex, so the best of `restarts` seeded random
+    initializations is kept.
 
     Returns
     -------
@@ -438,19 +439,33 @@ def nmf_als(V: np.ndarray, n_components: int, n_iter: int = 100,
     V = np.atleast_2d(np.asarray(V, dtype=np.float64))
     n, m = V.shape
     k = int(n_components)
+    for name, value in (("n_components", k), ("n_iter", n_iter),
+                        ("restarts", restarts)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    if not np.all(np.isfinite(V)):
+        raise ValueError("V must be finite")
+    scale = np.sqrt(max(V.mean(), 1e-12) / k)
     best = None
-    for child in np.random.SeedSequence(seed).spawn(max(restarts, 1)):
+    for child in np.random.SeedSequence(seed).spawn(restarts):
         rng = np.random.default_rng(child)
-        scale = np.sqrt(max(V.mean(), 1e-12) / k)
         A = rng.uniform(0.0, 1.0, (n, k)) * scale
         F = rng.uniform(0.0, 1.0, (k, m)) * scale
         for _ in range(n_iter):
-            F = np.maximum(np.linalg.lstsq(A, V, rcond=None)[0], 0.0)
-            A = np.maximum(np.linalg.lstsq(F.T, V.T, rcond=None)[0].T, 0.0)
+            F = _clipped_lstsq(A, V)
+            A = _clipped_lstsq(F.T, V.T).T
         obj = float(np.sum((V - A @ F) ** 2))
         if best is None or obj < best[2]:
             best = (A, F, obj)
     return best
+
+
+def _clipped_lstsq(B, V):
+    """``max(pinv(B) V, 0)``, with ``pinv(B) = pinv(B^T B) B^T`` (k x k)."""
+    G = B.T @ B
+    X = np.linalg.pinv(G) @ (B.T @ V)
+    X[G.diagonal() == 0.0] = 0.0      # a zeroed column: exact 0, not SVD rounding
+    return np.maximum(X, 0.0)
 
 
 @dataclass

@@ -180,6 +180,12 @@ def central_diff_grad(f, X: np.ndarray, h: float = 1e-6) -> np.ndarray:
     return G
 
 
+def clipped_lstsq(B: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """One clipped alternating-least-squares half-step by an SVD solve on
+    the tall factor itself: ``max(lstsq(B, V), 0)``."""
+    return np.maximum(np.linalg.lstsq(B, V, rcond=None)[0], 0.0)
+
+
 def interp_oracle(x: float, xs: np.ndarray, ys: np.ndarray) -> float:
     """Piecewise-linear evaluation by explicit bracket search."""
     if x <= xs[0]:

@@ -131,6 +131,27 @@ class TestReconstructEvaluate:
         assert report["mse_avg"] == 0.0
         assert report["psnr_avg"] == evaluation.PSNR_SATURATION_DB
 
+    def test_psnr_avg_is_mean_of_capped_values(self, run_dir):
+        # one exact map (infinite PSNR, capped) and one halved map: both files
+        # give the mean of the capped values, not the cap of the mean
+        gt = data_io.load_matrix(run_dir / "ground_truth.adjm")
+        rec = gt.copy()
+        rec[:, 1] *= 0.5
+        method_dir = run_dir / "adjust"
+        method_dir.mkdir(exist_ok=True)
+        data_io.save_matrix(method_dir / "maps.adjm", rec)
+        data_io.save_matrix(method_dir / "spectra.adjm",
+                            data_io.load_matrix(run_dir / "spectra_true.adjm"))
+        report = cli.cmd_evaluate(run_dir, method="adjust")
+        psnr = report["psnr"]
+        assert sorted(psnr)[1] == evaluation.PSNR_SATURATION_DB > sorted(psnr)[0]
+        assert report["psnr_avg"] == float(np.mean(psnr))
+        assert report["psnr_avg"] < evaluation.PSNR_SATURATION_DB
+        average = (method_dir / "results.csv").read_text().splitlines()[-1]
+        assert float(average.split(",")[4]) == report["psnr_avg"]
+        saved = json.loads((method_dir / "report.json").read_text())
+        assert saved["psnr_avg"] == report["psnr_avg"]
+
     def test_permuted_columns_score_identically(self, run_dir):
         gt = data_io.load_matrix(run_dir / "ground_truth.adjm")
         method_dir = run_dir / "adjust"

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.optimize import nnls
@@ -10,7 +12,7 @@ from spectomo import (AapmConfig, ChannelBinning, CjointConfig, Grid2D,
                       lagrangian_value, nmf_als, objective, ru, tikhonov_cg,
                       ur)
 
-from oracles import central_diff_grad, dense_reference_projector
+from oracles import central_diff_grad, clipped_lstsq, dense_reference_projector
 
 
 def small_problem(n=8, n_angles=6, M=2, D=3, C=4, seed=0, peak=0.3):
@@ -355,6 +357,28 @@ def test_stall_is_not_convergence(solve, monkeypatch):
         assert res.step_failures == 2
 
 
+def test_one_failed_block_is_counted_as_int(monkeypatch):
+    # only the map step fails: the coefficient step still moves, so the run
+    # goes on, and each failure adds a Python int, not a numpy bool
+    real = solvers.backtracking
+
+    def maps_fail(x, grad, project, value_at, current_value, step0):
+        if project is solvers.project_material_map:
+            return x, 0.0, current_value, None
+        x_new, step, value, aux = real(x, grad, project, value_at,
+                                       current_value, step0)
+        return x_new, np.float64(step), value, aux
+
+    monkeypatch.setattr(solvers, "backtracking", maps_fail)
+    op, T, A_true, R_true, Y = exact_instance()
+    res = aapm(op, T, Y, 2, AapmConfig(max_iter=5))
+    assert res.n_iter == 5 and not res.converged
+    assert all(r.alpha > 0.0 and r.beta == 0.0 for r in res.history)
+    assert type(res.step_failures) is int and res.step_failures == 5
+    assert json.loads(json.dumps({"step_failures": res.step_failures})) == {
+        "step_failures": 5}
+
+
 class TestTwoStep:
     def test_default_settings(self):
         cfg = TwoStepConfig()
@@ -391,6 +415,47 @@ class TestTwoStep:
         a2 = nmf_als(V, 2, n_iter=30, restarts=4, seed=5)
         assert np.array_equal(a1[0], a2[0])
         assert a1[2] == a2[2]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_als_half_steps_match_clipped_lstsq(self, seed):
+        # the F step solves with the tall A, the A step with F^T on V^T
+        rng = np.random.default_rng(seed)
+        A = rng.uniform(size=(200, 5))
+        F = rng.uniform(size=(5, 30))
+        V = rng.uniform(size=(200, 30))
+        for B, W in ((A, V), (F.T, V.T)):
+            want = clipped_lstsq(B, W)
+            got = solvers._clipped_lstsq(B, W)
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_als_half_step_zero_column(self, seed):
+        # a factor column that clipping zeroed gets exactly zero weight,
+        # where an SVD-based solve leaves rounding in that row
+        rng = np.random.default_rng(seed)
+        B = rng.uniform(size=(50 + 20 * seed, 4))
+        j = seed % 4
+        B[:, j] = 0.0
+        V = rng.uniform(size=(B.shape[0], 7))
+        want = clipped_lstsq(B, V)
+        got = solvers._clipped_lstsq(B, V)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+        assert np.all(got[j] == 0.0)
+
+    @pytest.mark.parametrize("bad, name", [
+        pytest.param({"n_components": 0}, "n_components", id="n_components"),
+        pytest.param({"n_iter": 0}, "n_iter", id="n_iter"),
+        pytest.param({"restarts": 0}, "restarts", id="restarts"),
+        pytest.param({"V": np.array([[1.0, np.nan], [0.5, 2.0]])},
+                     "V must be finite", id="nan"),
+        pytest.param({"V": np.array([[1.0, np.inf], [0.5, 2.0]])},
+                     "V must be finite", id="inf"),
+    ])
+    def test_nmf_rejects_bad_arguments(self, bad, name):
+        args = {"V": np.ones((4, 3)), "n_components": 2, "n_iter": 5,
+                "restarts": 2, **bad}
+        with pytest.raises(ValueError, match=name):
+            nmf_als(**args)
 
     def test_ru_outputs_shapes_and_nonnegativity(self):
         op, T, A_true, R_true, Y = exact_instance()
