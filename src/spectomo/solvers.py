@@ -14,7 +14,10 @@ volume) and `ur` (factorize the sinogram, then reconstruct each material).
 All matrix products involving the tomographic operator go through
 ``op.forward`` / ``op.adjoint``, and predicted data is always formed as
 ``(W A) @ (R @ T)`` so repeated evaluations of the same iterate are
-bit-identical.
+bit-identical.  Besides the data ``Y``, the loop holds three data-sized
+arrays (``U``, the shifted data and the residual) and, during a line
+search, one trial residual, which is formed in the buffer of its
+prediction.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ def _predict(A, R, op, T):
 
 
 def _misfit(E) -> float:
-    return 0.5 * float(np.sum(E ** 2))
+    return 0.5 * float(np.vdot(E, E))
 
 
 def _grad_coeffs(WA, E, T) -> np.ndarray:
@@ -121,9 +124,11 @@ def backtracking(x: np.ndarray, grad: np.ndarray, project: Callable,
     for _ in range(MAX_HALVINGS + 1):
         cand = project(x - step * grad)
         value, aux = value_at(cand)
-        decrease = SUFFICIENT_DECREASE * float(np.sum((cand - x) ** 2)) / step
+        move = cand - x
+        decrease = SUFFICIENT_DECREASE * float(np.vdot(move, move)) / step
         if value <= current_value - decrease:
             return cand, step, value, aux
+        aux = None                    # free the rejected trial's by-products
         step *= 0.5
     return x, 0.0, current_value, None
 
@@ -149,10 +154,11 @@ def _alternating_pg(op, T, Y, A, X, project_A, project_X, rho, max_iter,
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     U = np.zeros_like(Y)
-    Yk = Y                            # the shifted data Y + U
+    Yk = Y.copy() if rho else Y       # the shifted data Y + U, updated in place
 
     def value(WAc, RTc):
-        Ec = Yk - WAc @ RTc
+        Ec = WAc @ RTc
+        np.subtract(Yk, Ec, out=Ec)   # the residual takes the prediction's place
         return _misfit(Ec), (WAc, Ec)
 
     jt, (WA, E) = value(op.forward(A), X @ T)
@@ -196,8 +202,9 @@ def _alternating_pg(op, T, Y, A, X, project_A, project_X, rho, max_iter,
             P = WA @ RT               # the prediction at the new iterate
             np.subtract(Y, P, out=E)
             obj = _misfit(E)
-            U += rho * E
-            Yk = Y + U
+            E *= rho
+            U += E
+            np.add(Y, U, out=Yk)
             # recomputed from P, not updated, so that a trial which leaves
             # the iterate as it is reproduces jt exactly and is accepted
             np.subtract(Yk, P, out=E)
@@ -391,6 +398,16 @@ class TwoStepConfig:
     nmf_iters: int = 100
     nmf_restarts: int = 10
     seed: int = 0
+
+    def __post_init__(self):
+        if not (np.isfinite(self.tikhonov_lambda) and self.tikhonov_lambda >= 0):
+            raise ValueError("tikhonov_lambda must be finite and >= 0, "
+                             f"got {self.tikhonov_lambda}")
+        if not self.cg_tol > 0:
+            raise ValueError(f"cg_tol must be positive, got {self.cg_tol}")
+        for name in ("cg_max_iter", "nmf_iters", "nmf_restarts"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 def tikhonov_cg(op: TomoOperator, B: np.ndarray, lam: float,

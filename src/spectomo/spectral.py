@@ -165,7 +165,9 @@ def simulate_counts(phantom_hi: MaterialMap, recon_grid: Grid2D,
     axis (and covering the same area), so the simulated data never reuses
     the reconstruction discretization.  Counts are
     ``I0 * exp(-(W_hi A_hi F_true))`` per ray and channel, Poisson-sampled
-    when `noise.poisson` and deterministic for a fixed `seed`.
+    when `noise.poisson` and deterministic for a fixed `seed`.  ``W_hi`` is
+    built anew on every call, in two blocks of angles that are assembled
+    and applied one after the other, so at most half of it is held at once.
 
     Returns
     -------
@@ -183,8 +185,14 @@ def simulate_counts(phantom_hi: MaterialMap, recon_grid: Grid2D,
     if F_true.shape[0] != phantom_hi.n_materials:
         raise ValueError(f"need one spectrum per material, got {F_true.shape[0]} "
                          f"for {phantom_hi.n_materials} materials")
-    op_hi = TomoOperator(hi, geometry)
-    line_integrals = op_hi.forward(phantom_hi.A) @ F_true        # (J, C)
+    # a 2x ray has twice the samples, so each half holds about as many
+    # weights as the reconstruction operator; rows are independent, so the
+    # stacked forwards equal one full forward bit for bit
+    WA_hi = np.vstack([
+        TomoOperator(hi, ParallelGeometry(block, geometry.n_det, geometry.det_spacing))
+        .forward(phantom_hi.A)
+        for block in np.array_split(geometry.angles, min(2, geometry.n_angles))])
+    line_integrals = WA_hi @ F_true                               # (J, C)
     mean = source.intensity[None, :] * np.exp(-line_integrals)
     if noise is not None and noise.poisson:
         rng = np.random.default_rng(seed)

@@ -17,9 +17,10 @@ Conventions
 * Sinogram ray index ``j = angle_index * n_det + detector_index``.
 
 Rays that never enter the grid contribute exact zeros.  All computation is
-in 64-bit floats.  ``W`` stores only nonzero weights, at about 12 bytes each
-(a float64 value and an int32 column index): 57 MiB for a 128x128 grid
-with 180 angles and 128 detectors.
+in 64-bit floats.  ``W`` stores only nonzero weights, in arrays of exactly
+that length, at about 12 bytes each (a float64 value and an int32 column
+index): 57 MiB for a 128x128 grid with 180 angles and 128 detectors.
+Assembly briefly holds every slot, zeros included (69 MiB there).
 """
 
 from __future__ import annotations
@@ -166,7 +167,7 @@ class TomoOperator:
         interpolation neighbours next to each other.  A ray therefore has
         exactly ``2 * n_across`` entries, so ``indptr`` is known up front;
         neighbours that fall off the grid get weight 0 and are dropped at
-        the end.
+        the end, after which the buffers are cut to the nonzeros.
         """
         g, geom = self.grid, self.geometry
         nx, ny, p = g.nx, g.ny, g.pixel_size
@@ -210,6 +211,14 @@ class TomoOperator:
             val[..., 0] = w0
             val[..., 1] = w1
 
-        W = sparse.csr_array((data, indices, indptr), shape=(geom.n_rays, g.n_pixels))
-        W.eliminate_zeros()
-        return W
+        shape = (geom.n_rays, g.n_pixels)
+        W = sparse.csr_array((data, indices, indptr), shape=shape)
+        W.eliminate_zeros()           # compacts in the fill buffers, in place
+        # W's arrays are still views of buffers sized for every slot; shrink
+        # the buffers in place to the nonzeros (a copy would briefly hold
+        # two matrices) and wrap them again
+        nnz = W.nnz
+        del W, idx, val
+        indices.resize(nnz)
+        data.resize(nnz)
+        return sparse.csr_array((data, indices, indptr), shape=shape)

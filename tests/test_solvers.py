@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -379,6 +380,27 @@ def test_one_failed_block_is_counted_as_int(monkeypatch):
         "step_failures": 5}
 
 
+@pytest.mark.parametrize("rho, bound", [(0.05, 4.5), (0.0, 3.5)])
+def test_loop_transient_memory_bounded(rho, bound):
+    # above its inputs the loop holds U, the shifted data (Y itself at
+    # rho = 0), the residual and one trial residual, each the size of Y;
+    # the half array of slack covers the map- and coefficient-sized arrays
+    op = TomoOperator(Grid2D(32, 32), ParallelGeometry(
+        angles=np.linspace(0, np.pi, 45, endpoint=False), n_det=32))
+    T = kedge_dictionary(8, ChannelBinning.equidistant(64, 5, 35), peak=0.3).T
+    Y = op.forward(disks(32, 3).A) @ T[[0, 3, 6]]
+    cfg = AapmConfig(rho=rho, max_iter=5, random_init=True, seed=1)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        res = aapm(op, T, Y, 3, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.n_iter == 5
+    assert peak - start <= bound * Y.nbytes
+
+
 class TestTwoStep:
     def test_default_settings(self):
         cfg = TwoStepConfig()
@@ -456,6 +478,21 @@ class TestTwoStep:
                 "restarts": 2, **bad}
         with pytest.raises(ValueError, match=name):
             nmf_als(**args)
+
+    @pytest.mark.parametrize("field, bad", [
+        ("tikhonov_lambda", -1e-3), ("tikhonov_lambda", np.inf),
+        ("tikhonov_lambda", np.nan), ("cg_max_iter", 0), ("cg_tol", 0.0),
+        ("cg_tol", -1e-6), ("nmf_iters", 0), ("nmf_restarts", 0),
+    ])
+    def test_config_rejects_bad_values_before_any_work(self, field, bad,
+                                                       monkeypatch):
+        calls = []
+        monkeypatch.setattr(solvers, "tikhonov_cg",
+                            lambda *args: calls.append(args))
+        op, T, A_true, R_true, Y = exact_instance()
+        with pytest.raises(ValueError, match=field):
+            ru(op, Y, 2, TwoStepConfig(**{field: bad}))
+        assert calls == []
 
     def test_ru_outputs_shapes_and_nonnegativity(self):
         op, T, A_true, R_true, Y = exact_instance()

@@ -3,7 +3,7 @@ import pytest
 
 from spectomo import (AttenuationTable, ChannelBinning, Grid2D, NoiseConfig,
                       ParallelGeometry, SourceSpectrum, SpectralDictionary,
-                      add_gaussian_noise, bin_attenuation, disks,
+                      TomoOperator, add_gaussian_noise, bin_attenuation, disks,
                       kedge_dictionary, log_correct, select_channels,
                       simulate_counts)
 from spectomo.phantoms import MaterialMap
@@ -97,6 +97,16 @@ class TestSimulateCounts:
         chord = (W_hi @ A_hi[:, 0])
         expected = 1e4 * np.exp(-mu * chord)
         assert np.allclose(counts[:, 0], expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("n_angles", [1, 2, 7])
+    def test_blocked_simulation_equals_one_forward(self, n_angles):
+        # the simulator forwards the 2x operator in blocks of angles; the
+        # noiseless counts must equal those of the whole operator exactly
+        grid, geom, binning, dic, ph, F, src = simulation_setup(n_angles=n_angles)
+        counts = simulate_counts(ph, grid, geom, F, src)
+        line_integrals = TomoOperator(ph.grid, geom).forward(ph.A) @ F
+        expected = src.intensity[None, :] * np.exp(-line_integrals)
+        assert np.array_equal(counts, expected)
 
     def test_poisson_seed_reproducible(self):
         grid, geom, binning, dic, ph, F, src = simulation_setup()

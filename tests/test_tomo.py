@@ -207,3 +207,18 @@ class TestAssembledMatrix:
             now = members(value)
             assert now.keys() == inner.keys()
             assert all(now[key] is inner[key] for key in inner)
+
+    def test_arrays_own_exactly_the_nonzeros(self):
+        # a detector wider than the grid: many neighbours fall off it, so
+        # the assembly drops zeros, and no array may keep the dropped slots
+        def owner(a):
+            while a.base is not None:
+                a = a.base
+            return a
+
+        op = make_op(n=16, n_angles=12, n_det=24)
+        assert op.W.nnz < 12 * 24 * 2 * 16
+        for name in ("data", "indices"):
+            array = getattr(op.W, name)
+            assert array.size == op.W.nnz, name
+            assert owner(array).nbytes == array.nbytes, name
