@@ -22,20 +22,10 @@ from . import data_io, evaluation, phantoms, solvers, spectral
 from .data_io import RunConfig, load_config, parse_config
 from .spectral import (ChannelBinning, NoiseConfig, SourceSpectrum,
                        SpectralDictionary)
-from .tomo import Grid2D, ParallelGeometry, TomoOperator
+from .tomo import Grid2D, TomoOperator
 
 PRESETS = ("full", "sparse-angle", "limited-view", "sparse-channel")
 DEFAULT_RHO_SWEEP = (0.0, 0.01, 0.1)
-_TWO_STEP_PARAMS = ("tikhonov_lambda", "cg_max_iter", "cg_tol", "nmf_iters",
-                    "nmf_restarts")
-# the method_params each method accepts
-METHOD_PARAMS = {
-    "adjust": ("rho", "max_iter", "eps_abs_tol", "eps_rel_tol", "random_init",
-               "step0"),
-    "cjoint": ("max_iter", "tol", "step0"),
-    "ru": _TWO_STEP_PARAMS,
-    "ur": _TWO_STEP_PARAMS,
-}
 
 
 def apply_preset(raw: dict, name: str) -> dict:
@@ -72,15 +62,8 @@ def apply_preset(raw: dict, name: str) -> dict:
 # ---------------------------------------------------------------------------
 
 def build_phantom(cfg: RunConfig, grid: Grid2D) -> phantoms.MaterialMap:
-    kind = cfg.phantom["kind"]
-    n = grid.nx
-    if kind == "shepp_logan":
-        return phantoms.shepp_logan(n, int(cfg.phantom["materials"]), grid=grid)
-    if kind == "disks":
-        return phantoms.disks(n, int(cfg.phantom["count"]), grid=grid)
-    if kind == "mixed_disks":
-        return phantoms.mixed_disks(n, int(cfg.phantom["materials"]), grid=grid)
-    raise ValueError(f"unknown phantom kind {kind!r}")
+    generate = getattr(phantoms, cfg.phantom["kind"])    # see PHANTOM_KINDS
+    return generate(grid.nx, cfg.n_phantom_materials(), grid=grid)
 
 
 def build_dictionary(cfg: RunConfig, binning: ChannelBinning) -> SpectralDictionary:
@@ -121,15 +104,6 @@ def material_rows(cfg: RunConfig, n_dict: int) -> np.ndarray:
             raise ValueError("material_rows out of range")
         return rows
     return np.round(np.linspace(0, n_dict - 1, m)).astype(int)
-
-
-def _operator_from_manifest(manifest: dict) -> TomoOperator:
-    g = manifest["grid"]
-    grid = Grid2D(g["nx"], g["ny"], g["pixel_size"])
-    geom = ParallelGeometry(angles=np.asarray(manifest["angles"]),
-                            n_det=manifest["n_det"],
-                            det_spacing=manifest["det_spacing"])
-    return TomoOperator(grid, geom)
 
 
 # ---------------------------------------------------------------------------
@@ -213,21 +187,19 @@ def cmd_reconstruct(out_dir: Path, method: str | None = None,
     manifest = _load_manifest(out_dir)
     cfg = parse_config(manifest["config"])
     method = method or cfg.method
-    if method not in data_io.METHODS:
-        raise ValueError(f"unknown method {method!r}")
     # configured parameters only apply to the configured method
     params = dict(cfg.method_params) if method == cfg.method else {}
     if method_params:
         params.update(method_params)
-    known = _known(params, METHOD_PARAMS[method])
+    data_io.method_config(method, params)         # fail before any work
     if seed is None:
         seed = manifest["seed"]
 
-    problem = _load_problem(out_dir, manifest)
+    problem = _load_problem(out_dir, manifest, cfg)
     method_dir = out_dir / method
     method_dir.mkdir(exist_ok=True)
     t0 = time.perf_counter()
-    result = _solve(method, problem, known, seed, method_dir / "history.csv")
+    result = _solve(method, problem, params, seed, method_dir / "history.csv")
     elapsed = time.perf_counter() - t0
 
     if method == "adjust":
@@ -309,13 +281,13 @@ def cmd_sweep_rho(out_dir: Path, rho_list=DEFAULT_RHO_SWEEP,
     out_dir = Path(out_dir)
     manifest = _load_manifest(out_dir)
     cfg = parse_config(manifest["config"])
-    params = {}
-    if cfg.method == "adjust":
-        params = _known(cfg.method_params, METHOD_PARAMS["adjust"])
+    params = dict(cfg.method_params) if cfg.method == "adjust" else {}
     if max_iter is not None:
         params["max_iter"] = max_iter
+    for rho in rho_list:                          # fail before any work
+        data_io.method_config("adjust", {**params, "rho": rho})
 
-    problem = _load_problem(out_dir, manifest)
+    problem = _load_problem(out_dir, manifest, cfg)
     sweep_dir = out_dir / "sweep"
     sweep_dir.mkdir(exist_ok=True)
     paths = []
@@ -336,10 +308,10 @@ def cmd_pipeline(cfg: RunConfig, out_dir: Path,
     return report
 
 
-def _load_problem(out_dir: Path, manifest: dict):
+def _load_problem(out_dir: Path, manifest: dict, cfg: RunConfig):
     """The operator, data, dictionary and material count of a simulated run."""
     files = manifest["files"]
-    return (_operator_from_manifest(manifest),
+    return (TomoOperator(cfg.grid(), cfg.parallel_geometry()),
             data_io.load_matrix(out_dir / files["sinogram"]),
             data_io.load_matrix(out_dir / files["dictionary"]),
             manifest["n_materials"])
@@ -354,22 +326,10 @@ def _solve(method: str, problem, params: dict, seed: int, history_path: Path):
         def log_record(_k, _A, _X, record):
             write_row(record)
 
+        config = data_io.method_config(method, params, seed, log_record)
         if method == "adjust":
-            return solvers.aapm(op, T, Y, M, solvers.AapmConfig(
-                seed=seed, callback=log_record, **params))
-        if method == "cjoint":
-            return solvers.cjoint(op, Y, M, solvers.CjointConfig(
-                callback=log_record, **params))
-        runner = solvers.ru if method == "ru" else solvers.ur
-        return runner(op, Y, M, solvers.TwoStepConfig(seed=seed, **params))
-
-
-def _known(params: dict, keys) -> dict:
-    unknown = set(params) - set(keys)
-    if unknown:
-        raise ValueError(f"unknown method parameters: {sorted(unknown)}; "
-                         f"supported: {sorted(keys)}")
-    return {k: params[k] for k in keys if k in params}
+            return solvers.aapm(op, T, Y, M, config)
+        return getattr(solvers, method)(op, Y, M, config)
 
 
 def _load_manifest(out_dir: Path) -> dict:

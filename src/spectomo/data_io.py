@@ -16,13 +16,25 @@ from pathlib import Path
 
 import numpy as np
 
+from . import solvers
 from .evaluation import PSNR_SATURATION_DB
 from .spectral import AttenuationTable, ChannelBinning, SourceSpectrum
-from .tomo import Grid2D, ParallelGeometry
+from .tomo import Grid2D, ParallelGeometry, equispaced_angles
 
 MATRIX_MAGIC = b"ADJM"
 CONFIG_VERSION = 1
-METHODS = ("adjust", "cjoint", "ru", "ur")
+# the method_params each method accepts: fields of its solver config
+METHOD_PARAMS = {
+    "adjust": ("rho", "max_iter", "eps_abs_tol", "eps_rel_tol", "random_init",
+               "step0"),
+    "cjoint": ("max_iter", "tol", "step0"),
+    **dict.fromkeys(("ru", "ur"), ("tikhonov_lambda", "cg_max_iter", "cg_tol",
+                                   "nmf_iters", "nmf_restarts")),
+}
+# each phantom kind is the name of its generator in `phantoms`, mapped to
+# the key of the phantom section that holds its material count
+PHANTOM_KINDS = {"shepp_logan": "materials", "disks": "count",
+                 "mixed_disks": "materials"}
 
 
 class FormatError(ValueError):
@@ -214,9 +226,9 @@ class RunConfig:
         if "list" in ang:
             angles = np.asarray(ang["list"], dtype=np.float64)
         else:
-            angles = np.linspace(float(ang.get("start", 0.0)),
-                                 float(ang["stop"]),
-                                 int(ang["count"]), endpoint=False)
+            angles = equispaced_angles(int(ang["count"]),
+                                       float(ang.get("start", 0.0)),
+                                       float(ang["stop"]))
         n_det = int(spec.get("detectors", self.phantom["size"]))
         spacing = float(spec.get("detector_spacing", 1.0))
         return ParallelGeometry(angles=angles, n_det=n_det, det_spacing=spacing)
@@ -228,10 +240,24 @@ class RunConfig:
                                           float(b["energy_max"]))
 
     def n_phantom_materials(self) -> int:
-        kind = self.phantom["kind"]
-        if kind == "disks":
-            return int(self.phantom["count"])
-        return int(self.phantom["materials"])
+        return int(self.phantom[PHANTOM_KINDS[self.phantom["kind"]]])
+
+
+def method_config(method: str, params: dict, seed: int = 0, callback=None):
+    """The solver config of `method` built from its `method_params`; an
+    unknown name or a value the config rejects raises `ValueError`."""
+    if method not in METHOD_PARAMS:
+        raise ValueError(f"unknown method {method!r}; "
+                         f"choose from {tuple(METHOD_PARAMS)}")
+    unknown = set(params) - set(METHOD_PARAMS[method])
+    if unknown:
+        raise ValueError(f"unknown method parameters: {sorted(unknown)}; "
+                         f"supported: {sorted(METHOD_PARAMS[method])}")
+    if method == "adjust":
+        return solvers.AapmConfig(seed=seed, callback=callback, **params)
+    if method == "cjoint":
+        return solvers.CjointConfig(callback=callback, **params)
+    return solvers.TwoStepConfig(seed=seed, **params)
 
 
 def load_config(path) -> RunConfig:
@@ -255,11 +281,16 @@ def parse_config(raw: dict, base_dir: Path | str = ".") -> RunConfig:
             raise FormatError(f"config missing required section {key!r}")
 
     method = raw["method"]
-    if method not in METHODS:
-        raise FormatError(f"unknown method {method!r}; choose from {METHODS}")
+    if method not in METHOD_PARAMS:
+        raise FormatError(f"unknown method {method!r}; "
+                          f"choose from {tuple(METHOD_PARAMS)}")
+    try:
+        method_config(method, raw.get("method_params", {}))
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"method_params invalid: {exc}") from exc
 
     phantom = dict(raw["phantom"])
-    if phantom.get("kind") not in ("shepp_logan", "disks", "mixed_disks"):
+    if phantom.get("kind") not in PHANTOM_KINDS:
         raise FormatError(f"unknown phantom kind {phantom.get('kind')!r}")
 
     geometry = dict(raw["geometry"])
@@ -317,6 +348,13 @@ def parse_config(raw: dict, base_dir: Path | str = ".") -> RunConfig:
             raise FormatError(f"{section} section missing key {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise FormatError(f"{section} section invalid: {exc}") from exc
+    selection = raw.get("channel_selection")
+    if selection is not None:
+        count = selection.get("count") if isinstance(selection, dict) else None
+        channels = int(cfg.binning["channels"])
+        if count != "dictionary" and not (type(count) is int and 1 <= count <= channels):
+            raise FormatError("channel_selection.count must be 'dictionary' or an "
+                              f"integer in [1, {channels}], got {count!r}")
     return cfg
 
 

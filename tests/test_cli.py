@@ -35,6 +35,15 @@ def run_dir(tmp_path):
     return out
 
 
+@pytest.fixture()
+def no_operator(monkeypatch):
+    """Fail the test if a command builds the projector."""
+    def fail(*args, **kwargs):
+        raise AssertionError("operator built before the parameters were checked")
+
+    monkeypatch.setattr(cli, "TomoOperator", fail)
+
+
 class TestSimulate:
     def test_artifacts_written(self, run_dir):
         manifest = json.loads((run_dir / "manifest.json").read_text())
@@ -106,10 +115,21 @@ class TestReconstructEvaluate:
         assert lines[0] == "iter,objective,eps_abs,eps_rel,alpha,beta"
         assert len(lines) == 7
 
-    def test_unknown_method_params_rejected(self, run_dir):
+    def test_unknown_method_params_rejected(self, run_dir, no_operator):
         with pytest.raises(ValueError, match="unknown method parameters"):
             cli.cmd_reconstruct(run_dir, method="adjust",
                                 method_params={"bogus": 1})
+        assert not (run_dir / "adjust").exists()
+
+    @pytest.mark.parametrize("method,params,message", [
+        ("adjust", {"rho": 2.0}, "rho must lie in"),
+        ("ru", {"nmf_restarts": 0}, "nmf_restarts must be >= 1"),
+    ])
+    def test_bad_override_fails_before_any_work(self, run_dir, no_operator,
+                                                method, params, message):
+        with pytest.raises(ValueError, match=message):
+            cli.cmd_reconstruct(run_dir, method=method, method_params=params)
+        assert not (run_dir / method).exists()
 
     def test_reconstruct_without_simulate_fails(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="simulate"):
@@ -237,11 +257,18 @@ class TestSweepRho:
         path = cli.cmd_sweep_rho(run_dir, rho_list=(0.01,), max_iter=6)[0]
         assert path.read_bytes() == (method_dir / "history.csv").read_bytes()
 
-    def test_unknown_method_params_rejected(self, tmp_path):
-        out = tmp_path / "run"
-        cli.cmd_simulate(parse_config(tiny_config(method_params={"bogus": 1})), out)
+    def test_unknown_method_params_rejected(self, run_dir):
+        path = run_dir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["config"]["method_params"] = {"bogus": 1}
+        path.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="unknown method parameters"):
-            cli.cmd_sweep_rho(out, rho_list=(0.01,), max_iter=2)
+            cli.cmd_sweep_rho(run_dir, rho_list=(0.01,), max_iter=2)
+
+    def test_bad_rho_fails_before_any_work(self, run_dir, no_operator):
+        with pytest.raises(ValueError, match="rho must lie in"):
+            cli.cmd_sweep_rho(run_dir, rho_list=(0.01, 2.0), max_iter=2)
+        assert not (run_dir / "sweep").exists()
 
     def test_palm_history_monotone(self, run_dir):
         path = cli.cmd_sweep_rho(run_dir, rho_list=(0.0,), max_iter=10)[0]
@@ -318,6 +345,20 @@ class TestMainEntry:
                   "--out", str(tmp_path / "o1")])
         manifest = json.loads((tmp_path / "o1" / "manifest.json").read_text())
         assert manifest["seed"] == 99
+
+    @pytest.mark.parametrize("command", ["simulate", "pipeline"])
+    @pytest.mark.parametrize("override", [
+        {"method_params": {"rho": 2.0}},
+        {"channel_selection": {"count": 0}},
+    ], ids=["method_params", "channel_selection"])
+    def test_bad_config_writes_nothing(self, tmp_path, command, override):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            tiny_config(output_dir=str(tmp_path / "out"), **override)))
+        section = next(iter(override))
+        with pytest.raises(data_io.FormatError, match=f"^{section}"):
+            cli.main([command, "--config", str(cfg_path)])
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_flag_is_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,9 @@
+import dataclasses
 import hashlib
 import json
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +11,8 @@ import pytest
 from spectomo import (FormatError, MatchResult, export_pgm16,
                       load_attenuation_csv, load_matrix, parse_config,
                       save_attenuation_csv, save_matrix)
-from spectomo.data_io import (load_config, load_source_csv, source_from_csv,
+from spectomo.data_io import (METHOD_PARAMS, load_config, load_source_csv,
+                              method_config, source_from_csv,
                               write_history_csv, write_results_csv)
 from spectomo.solvers import IterationRecord
 from spectomo.spectral import ChannelBinning, kedge_attenuation_table
@@ -262,6 +266,41 @@ class TestRunConfig:
     def test_unbuildable_section_rejected(self, section, override):
         with pytest.raises(FormatError, match=f"^{section} section"):
             parse_config(valid_config(**override))
+
+    @pytest.mark.parametrize("method,params", [
+        ("adjust", {"bogus": 1}),
+        ("adjust", {"rho": 2.0}),
+        ("ru", {"nmf_restarts": 0}),
+    ], ids=["unknown-name", "bad-rho", "bad-restarts"])
+    def test_bad_method_params_rejected(self, method, params):
+        with pytest.raises(FormatError, match="^method_params"):
+            parse_config(valid_config(method=method, method_params=params))
+
+    @pytest.mark.parametrize("selection", [
+        {"count": 0}, {"count": 9}, {"count": "abc"}, {"count": 2.0},
+        {"count": True}, {}, 3,
+    ], ids=["zero", "above-channels", "text", "float", "bool", "no-count",
+            "not-a-section"])
+    def test_bad_channel_selection_rejected(self, selection):
+        with pytest.raises(FormatError, match="^channel_selection"):
+            parse_config(valid_config(channel_selection=selection))
+
+    @pytest.mark.parametrize("count", ["dictionary", 1, 8])
+    def test_channel_selection_accepted(self, count):
+        cfg = parse_config(valid_config(channel_selection={"count": count}))
+        assert cfg.raw["channel_selection"] == {"count": count}
+
+    def test_method_table_matches_configs_and_docs(self):
+        for method, names in METHOD_PARAMS.items():
+            config = method_config(method, {})
+            assert set(names) <= {f.name for f in dataclasses.fields(config)}
+        doc = (Path(__file__).parents[1] / "docs" / "formats.md").read_text()
+        documented = {}
+        for label, body in re.findall(r"^  - ([\w /]+): (.*(?:\n    .*)*)", doc,
+                                      flags=re.M):
+            for method in label.split(" / "):
+                documented[method] = set(re.findall(r"`(\w+)`", body))
+        assert documented == {m: set(n) for m, n in METHOD_PARAMS.items()}
 
     def test_invalid_json_reports_position(self, tmp_path):
         path = tmp_path / "broken.json"
