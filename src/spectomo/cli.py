@@ -18,11 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import data_io, evaluation, phantoms, solvers, spectral
+from . import data_io, evaluation, solvers, spectral
 from .data_io import RunConfig, load_config, parse_config
-from .spectral import (ChannelBinning, NoiseConfig, SourceSpectrum,
-                       SpectralDictionary)
-from .tomo import Grid2D, TomoOperator
+from .tomo import TomoOperator
 
 PRESETS = ("full", "sparse-angle", "limited-view", "sparse-channel")
 DEFAULT_RHO_SWEEP = (0.0, 0.01, 0.1)
@@ -58,76 +56,27 @@ def apply_preset(raw: dict, name: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# building blocks shared by the commands
-# ---------------------------------------------------------------------------
-
-def build_phantom(cfg: RunConfig, grid: Grid2D) -> phantoms.MaterialMap:
-    generate = getattr(phantoms, cfg.phantom["kind"])    # see PHANTOM_KINDS
-    return generate(grid.nx, cfg.n_phantom_materials(), grid=grid)
-
-
-def build_dictionary(cfg: RunConfig, binning: ChannelBinning) -> SpectralDictionary:
-    spec = cfg.dictionary
-    if spec["type"] == "synthetic":
-        return spectral.kedge_dictionary(
-            int(spec["materials"]), binning,
-            peak=float(spec.get("peak", 0.1)),
-            edge_jump=float(spec.get("edge_jump", 6.0)))
-    if spec["type"] == "csv":
-        table = data_io.load_attenuation_csv(spec["path"])
-        return spectral.bin_attenuation(table, binning)
-    raise ValueError(f"unknown dictionary type {spec['type']!r}")
-
-
-def build_source(cfg: RunConfig, binning: ChannelBinning) -> SourceSpectrum:
-    spec = cfg.source
-    if spec["type"] == "flat":
-        return SourceSpectrum.flat(binning.n_channels,
-                                   float(spec.get("photons", 1e4)))
-    if spec["type"] == "csv":
-        return data_io.source_from_csv(spec["path"], binning,
-                                       scale=float(spec.get("scale", 1.0)))
-    raise ValueError(f"unknown source type {spec['type']!r}")
-
-
-def material_rows(cfg: RunConfig, n_dict: int) -> np.ndarray:
-    m = cfg.n_phantom_materials()
-    if m > n_dict:
-        raise ValueError(f"phantom has {m} materials but the dictionary "
-                         f"only {n_dict} entries")
-    if cfg.material_rows is not None:
-        rows = np.asarray(cfg.material_rows, dtype=int)
-        if rows.size != m or len(set(rows.tolist())) != m:
-            raise ValueError("material_rows must list one distinct dictionary "
-                             "row per phantom material")
-        if rows.min() < 0 or rows.max() >= n_dict:
-            raise ValueError("material_rows out of range")
-        return rows
-    return np.round(np.linspace(0, n_dict - 1, m)).astype(int)
-
-
-# ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(cfg: RunConfig, out_dir: Path) -> dict:
     """Render the phantom at twice the target resolution, simulate counts,
-    log-correct, and write all artifacts the later stages need."""
+    log-correct, and write all artifacts the later stages need.  Nothing is
+    written until every section is built and the phantoms are rendered."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     grid = cfg.grid()
     geom = cfg.parallel_geometry()
     binning = cfg.channel_binning()
-    dictionary = build_dictionary(cfg, binning)
-    source = build_source(cfg, binning)
-    rows = material_rows(cfg, dictionary.n_materials)
+    dictionary = cfg.spectral_dictionary(binning)
+    source = cfg.source_spectrum(binning)
+    noise = cfg.noise_config()
+    rows = cfg.dictionary_rows(dictionary.n_materials)
+    k = cfg.channel_count(dictionary.n_materials)
+    phantom_lo = cfg.phantom_map(grid)
+    phantom_hi = cfg.phantom_map(grid.refine(2))
+
     T = dictionary.T
     F_true = T[rows]
-
-    phantom_lo = build_phantom(cfg, grid)
-    phantom_hi = build_phantom(cfg, grid.refine(2))
-    noise = NoiseConfig(poisson=bool(cfg.noise.get("poisson", False)),
-                        gaussian_percent=float(cfg.noise.get("gaussian_percent", 0.0)))
     counts = spectral.simulate_counts(phantom_hi, grid, geom, F_true, source,
                                       noise=noise, seed=cfg.seed)
     Y = spectral.log_correct(counts, source).Y
@@ -135,13 +84,10 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> dict:
         Y = spectral.add_gaussian_noise(Y, noise.gaussian_percent,
                                         seed=cfg.seed + 1)
 
-    selection = cfg.raw.get("channel_selection")
     selected = None
     centers = binning.centers
     intensity = source.intensity
-    if selection is not None:
-        count = selection.get("count")
-        k = dictionary.n_materials if count == "dictionary" else int(count)
+    if k is not None:
         selected = spectral.select_channels(dictionary, k)
         Y = Y[:, selected]
         T = T[:, selected]
@@ -149,6 +95,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> dict:
         centers = centers[selected]
         intensity = intensity[selected]
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     files = {"sinogram": "sinogram.adjm", "ground_truth": "ground_truth.adjm",
              "spectra_true": "spectra_true.adjm", "dictionary": "dictionary.adjm"}
     data_io.save_matrix(out_dir / files["sinogram"], Y)
@@ -344,16 +291,30 @@ def _load_manifest(out_dir: Path) -> dict:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="path to a JSON run configuration")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the config seed")
-    parser.add_argument("--out", help="run directory (overrides config output_dir)")
-    parser.add_argument("--method", default=None,
-                        help="solver: adjust, cjoint, ru, or ur")
-    parser.add_argument("--preset", default=None,
-                        help="measurement preset: full, sparse-angle, "
-                             "limited-view, sparse-channel, or noisy-<percent>")
+# each subcommand's help text and the flags it reads
+_COMMANDS = {
+    "simulate": ("generate measurement artifacts",
+                 ("--config", "--out", "--seed", "--method", "--preset")),
+    "reconstruct": ("run a solver on a simulated run",
+                    ("--config", "--out", "--seed", "--method")),
+    "evaluate": ("score a reconstruction against truth",
+                 ("--config", "--out", "--method")),
+    "sweep-rho": ("compare acceleration settings",
+                  ("--config", "--out", "--rhos", "--max-iter")),
+    "pipeline": ("simulate, reconstruct, evaluate, and sweep-rho in sequence",
+                 ("--config", "--out", "--seed", "--method", "--preset", "--rhos")),
+}
+_FLAGS = {
+    "--config": {"help": "path to a JSON run configuration"},
+    "--out": {"help": "run directory (overrides config output_dir)"},
+    "--seed": {"type": int, "help": "override the config seed"},
+    "--method": {"help": "solver: adjust, cjoint, ru, or ur"},
+    "--preset": {"help": "measurement preset: full, sparse-angle, limited-view, "
+                         "sparse-channel, or noisy-<percent>"},
+    "--rhos": {"default": ",".join(str(r) for r in DEFAULT_RHO_SWEEP),
+               "help": "comma-separated feedback weights"},
+    "--max-iter": {"type": int, "help": "iteration budget for each sweep run"},
+}
 
 
 def _resolve_config(args) -> tuple[RunConfig, Path]:
@@ -379,26 +340,10 @@ def main(argv=None) -> int:
                     "reconstruct per-material maps and spectra.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="generate measurement artifacts")
-    _add_common(p)
-
-    p = sub.add_parser("reconstruct", help="run a solver on a simulated run")
-    _add_common(p)
-
-    p = sub.add_parser("evaluate", help="score a reconstruction against truth")
-    _add_common(p)
-
-    p = sub.add_parser("sweep-rho", help="compare acceleration settings")
-    _add_common(p)
-    p.add_argument("--rhos", default=",".join(str(r) for r in DEFAULT_RHO_SWEEP),
-                   help="comma-separated feedback weights")
-    p.add_argument("--max-iter", type=int, default=None,
-                   help="iteration budget for each sweep run")
-
-    p = sub.add_parser("pipeline", help="simulate, reconstruct, evaluate, "
-                                        "and sweep-rho in sequence")
-    _add_common(p)
-    p.add_argument("--rhos", default=",".join(str(r) for r in DEFAULT_RHO_SWEEP))
+    for command, (text, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
 
     args = parser.parse_args(argv)
 

@@ -16,9 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import solvers
+from . import phantoms, solvers, spectral
 from .evaluation import PSNR_SATURATION_DB
-from .spectral import AttenuationTable, ChannelBinning, SourceSpectrum
+from .spectral import (AttenuationTable, ChannelBinning, NoiseConfig,
+                       SourceSpectrum, SpectralDictionary)
 from .tomo import Grid2D, ParallelGeometry, equispaced_angles
 
 MATRIX_MAGIC = b"ADJM"
@@ -201,7 +202,10 @@ def export_pgm16(path, image: np.ndarray, vmin: float, vmax: float) -> None:
 
 @dataclass
 class RunConfig:
-    """Validated experiment description; see docs/formats.md for the schema."""
+    """Validated experiment description; see docs/formats.md for the schema.
+
+    Each section is built by one method below.  `simulate` calls them, and
+    `parse_config` calls all but `phantom_map` to check the sections."""
 
     phantom: dict
     geometry: dict
@@ -213,7 +217,6 @@ class RunConfig:
     method_params: dict
     output_dir: str
     seed: int
-    material_rows: list[int] | None = None
     raw: dict = field(default_factory=dict)
 
     def grid(self) -> Grid2D:
@@ -225,10 +228,16 @@ class RunConfig:
         ang = spec["angles"]
         if "list" in ang:
             angles = np.asarray(ang["list"], dtype=np.float64)
+            if angles.size == 0:
+                raise ValueError("geometry.angles.list must be nonempty")
+            if not np.all((angles >= 0) & (angles < 2 * np.pi)):
+                raise ValueError("explicit angles must lie in [0, 2*pi)")
         else:
-            angles = equispaced_angles(int(ang["count"]),
-                                       float(ang.get("start", 0.0)),
-                                       float(ang["stop"]))
+            start, stop = float(ang.get("start", 0.0)), float(ang["stop"])
+            if not 0.0 <= start < stop <= 2 * np.pi:
+                raise ValueError(f"angle range [{start}, {stop}) must be a "
+                                 "subset of [0, 2*pi)")
+            angles = equispaced_angles(int(ang["count"]), start, stop)
         n_det = int(spec.get("detectors", self.phantom["size"]))
         spacing = float(spec.get("detector_spacing", 1.0))
         return ParallelGeometry(angles=angles, n_det=n_det, det_spacing=spacing)
@@ -240,7 +249,76 @@ class RunConfig:
                                           float(b["energy_max"]))
 
     def n_phantom_materials(self) -> int:
-        return int(self.phantom[PHANTOM_KINDS[self.phantom["kind"]]])
+        kind = self.phantom["kind"]
+        if kind not in PHANTOM_KINDS:
+            raise ValueError(f"unknown phantom kind {kind!r}; "
+                             f"choose from {tuple(PHANTOM_KINDS)}")
+        return int(self.phantom[PHANTOM_KINDS[kind]])
+
+    def phantom_map(self, grid: Grid2D) -> phantoms.MaterialMap:
+        """Render the phantom on `grid`; the generator checks its own limits."""
+        generate = getattr(phantoms, self.phantom["kind"])
+        return generate(grid.nx, self.n_phantom_materials(), grid=grid)
+
+    def spectral_dictionary(self, binning: ChannelBinning) -> SpectralDictionary:
+        spec = self.dictionary
+        if spec["type"] == "synthetic":
+            return spectral.kedge_dictionary(
+                int(spec["materials"]), binning,
+                peak=float(spec.get("peak", 0.1)),
+                edge_jump=float(spec.get("edge_jump", 6.0)))
+        if spec["type"] == "csv":
+            return spectral.bin_attenuation(load_attenuation_csv(spec["path"]),
+                                            binning)
+        raise ValueError(f"unknown dictionary type {spec['type']!r}")
+
+    def source_spectrum(self, binning: ChannelBinning) -> SourceSpectrum:
+        spec = self.source
+        if spec["type"] == "flat":
+            return SourceSpectrum.flat(binning.n_channels,
+                                       float(spec.get("photons", 1e4)))
+        if spec["type"] == "csv":
+            return source_from_csv(spec["path"], binning,
+                                   scale=float(spec.get("scale", 1.0)))
+        raise ValueError(f"unknown source type {spec['type']!r}")
+
+    def noise_config(self) -> NoiseConfig:
+        return NoiseConfig(
+            poisson=bool(self.noise.get("poisson", False)),
+            gaussian_percent=float(self.noise.get("gaussian_percent", 0.0)))
+
+    def dictionary_rows(self, n_dict: int) -> np.ndarray:
+        """The dictionary row of each phantom material: `material_rows`, or
+        by default rows spread evenly over the dictionary."""
+        m = self.n_phantom_materials()
+        if m > n_dict:
+            raise ValueError(f"phantom has {m} materials but the dictionary "
+                             f"only {n_dict} entries")
+        if self.raw.get("material_rows") is None:
+            return np.round(np.linspace(0, n_dict - 1, m)).astype(int)
+        rows = np.asarray(list(self.raw["material_rows"]), dtype=int)
+        if rows.size != m or len(set(rows.tolist())) != m:
+            raise ValueError("must list one distinct dictionary row per "
+                             "phantom material")
+        if rows.min() < 0 or rows.max() >= n_dict:
+            raise ValueError(f"rows must lie in [0, {n_dict - 1}], "
+                             f"got {rows.tolist()}")
+        return rows
+
+    def channel_count(self, n_dict: int) -> int | None:
+        """How many channels `simulate` keeps by `channel_selection`, or
+        None to keep them all; ``"dictionary"`` means one per entry."""
+        selection = self.raw.get("channel_selection")
+        if selection is None:
+            return None
+        count = selection.get("count") if isinstance(selection, dict) else None
+        k = n_dict if count == "dictionary" else count
+        channels = int(self.binning["channels"])
+        if not (type(k) is int and 1 <= k <= channels):
+            raise ValueError(f"count must be an integer in [1, {channels}] or "
+                             "'dictionary' (one channel per dictionary entry, "
+                             f"{n_dict} here), got {count!r}")
+        return k
 
 
 def method_config(method: str, params: dict, seed: int = 0, callback=None):
@@ -270,6 +348,10 @@ def load_config(path) -> RunConfig:
 
 
 def parse_config(raw: dict, base_dir: Path | str = ".") -> RunConfig:
+    """Check a config and return it as a `RunConfig`.  Every section the
+    commands build is built here once, so a bad one fails before anything
+    is simulated or written, with a `FormatError` that starts with its name;
+    only the phantom generator's own limits wait for `simulate`."""
     base_dir = Path(base_dir)
     version = raw.get("config_version")
     if version != CONFIG_VERSION:
@@ -279,36 +361,6 @@ def parse_config(raw: dict, base_dir: Path | str = ".") -> RunConfig:
                 "method", "output_dir"):
         if key not in raw:
             raise FormatError(f"config missing required section {key!r}")
-
-    method = raw["method"]
-    if method not in METHOD_PARAMS:
-        raise FormatError(f"unknown method {method!r}; "
-                          f"choose from {tuple(METHOD_PARAMS)}")
-    try:
-        method_config(method, raw.get("method_params", {}))
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"method_params invalid: {exc}") from exc
-
-    phantom = dict(raw["phantom"])
-    if phantom.get("kind") not in PHANTOM_KINDS:
-        raise FormatError(f"unknown phantom kind {phantom.get('kind')!r}")
-
-    geometry = dict(raw["geometry"])
-    ang = geometry.get("angles", {})
-    if "list" in ang:
-        angles = np.asarray(ang["list"], dtype=np.float64)
-        if angles.size == 0:
-            raise FormatError("geometry.angles.list must be nonempty")
-        if not np.all((angles >= 0) & (angles < 2 * np.pi)):
-            raise FormatError("explicit angles must lie in [0, 2*pi)")
-    else:
-        for key in ("count", "stop"):
-            if key not in ang:
-                raise FormatError(f"geometry.angles missing {key!r}")
-        start, stop = float(ang.get("start", 0.0)), float(ang["stop"])
-        if not (0.0 <= start < stop <= 2 * np.pi):
-            raise FormatError(f"angle range [{start}, {stop}) must be a "
-                              "subset of [0, 2*pi)")
 
     raw = dict(raw)
     for section in ("dictionary", "source"):
@@ -322,40 +374,41 @@ def parse_config(raw: dict, base_dir: Path | str = ".") -> RunConfig:
             spec["path"] = str(csv_path)
         raw[section] = spec
 
-    noise = dict(raw.get("noise", {"poisson": False, "gaussian_percent": 0.0}))
     cfg = RunConfig(
-        phantom=phantom,
-        geometry=geometry,
+        phantom=dict(raw["phantom"]),
+        geometry=dict(raw["geometry"]),
         binning=dict(raw["binning"]),
-        dictionary=dict(raw["dictionary"]),
-        source=dict(raw["source"]),
-        noise=noise,
-        method=method,
-        method_params=dict(raw.get("method_params", {})),
+        dictionary=raw["dictionary"],
+        source=raw["source"],
+        noise=dict(raw.get("noise", {})),
+        method=raw["method"],
+        method_params=raw.get("method_params", {}),
         output_dir=str(raw["output_dir"]),
         seed=int(raw.get("seed", 0)),
-        material_rows=list(raw["material_rows"]) if "material_rows" in raw else None,
-        raw=dict(raw),
+        raw=raw,
     )
-    # build what the commands build, so a bad section fails here, by name
-    for section, build in (("phantom", cfg.grid),
-                           ("phantom", cfg.n_phantom_materials),
-                           ("geometry", cfg.parallel_geometry),
-                           ("binning", cfg.channel_binning)):
-        try:
-            build()
-        except KeyError as exc:
-            raise FormatError(f"{section} section missing key {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise FormatError(f"{section} section invalid: {exc}") from exc
-    selection = raw.get("channel_selection")
-    if selection is not None:
-        count = selection.get("count") if isinstance(selection, dict) else None
-        channels = int(cfg.binning["channels"])
-        if count != "dictionary" and not (type(count) is int and 1 <= count <= channels):
-            raise FormatError("channel_selection.count must be 'dictionary' or an "
-                              f"integer in [1, {channels}], got {count!r}")
+    _build("phantom", cfg.grid)
+    _build("phantom", cfg.n_phantom_materials)
+    _build("geometry", cfg.parallel_geometry)
+    binning = _build("binning", cfg.channel_binning)
+    n_dict = _build("dictionary", cfg.spectral_dictionary, binning).n_materials
+    _build("source", cfg.source_spectrum, binning)
+    _build("noise", cfg.noise_config)
+    _build("material_rows", cfg.dictionary_rows, n_dict)
+    _build("channel_selection", cfg.channel_count, n_dict)
+    _build("method", method_config, cfg.method, {})
+    _build("method_params", method_config, cfg.method, cfg.method_params)
     return cfg
+
+
+def _build(section: str, build, *args):
+    """``build(*args)``, with its error raised as a `FormatError` naming `section`."""
+    try:
+        return build(*args)
+    except KeyError as exc:
+        raise FormatError(f"{section} section missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{section} section invalid: {exc}") from exc
 
 
 @contextmanager

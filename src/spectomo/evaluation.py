@@ -85,8 +85,7 @@ class MatchResult:
         return float(np.mean(self.ssim_values))
 
 
-def greedy_match(A_rec: np.ndarray, A_gt: np.ndarray,
-                 normalized_mse: bool = False) -> MatchResult:
+def greedy_match(A_rec: np.ndarray, A_gt: np.ndarray) -> MatchResult:
     """Pair reconstructed columns with ground-truth columns greedily.
 
     Builds the matrix of column-wise Euclidean errors, then repeatedly
@@ -118,10 +117,8 @@ def greedy_match(A_rec: np.ndarray, A_gt: np.ndarray,
 
     return MatchResult(
         pairs=pairs,
-        mse_values=[mse(A_rec[:, i], A_gt[:, j], normalized=normalized_mse)
-                    for i, j in pairs],
-        psnr_values=[psnr(A_rec[:, i], A_gt[:, j], normalized=normalized_mse)
-                     for i, j in pairs],
+        mse_values=[mse(A_rec[:, i], A_gt[:, j]) for i, j in pairs],
+        psnr_values=[psnr(A_rec[:, i], A_gt[:, j]) for i, j in pairs],
         ssim_values=[ssim(A_rec[:, i], A_gt[:, j]) for i, j in pairs],
     )
 

@@ -28,7 +28,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .projections import project_doubly_capped, project_material_map
-from .spectral import SpectralDictionary
 from .tomo import TomoOperator
 
 SUFFICIENT_DECREASE = 1e-4
@@ -87,8 +86,6 @@ def _grad_maps(op, E, RT) -> np.ndarray:
 
 
 def _dict_matrix(T) -> np.ndarray:
-    if isinstance(T, SpectralDictionary):
-        return T.T
     return np.asarray(T, dtype=np.float64)
 
 
@@ -151,8 +148,6 @@ def _alternating_pg(op, T, Y, A, X, project_A, project_X, rho, max_iter,
                     eps_abs_tol, eps_rel_tol, step0, callback):
     """The loop of `aapm` and `cjoint` (`aapm` gives the stopping rule); returns
     ``(A, X, U, history, converged, step_failures)``."""
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
     U = np.zeros_like(Y)
     Yk = Y.copy() if rho else Y       # the shifted data Y + U, updated in place
 
@@ -244,6 +239,7 @@ class AapmConfig:
     def __post_init__(self):
         if not 0.0 <= self.rho < 1.0:
             raise ValueError(f"rho must lie in [0, 1), got {self.rho}")
+        _check_loop_settings(self, ("eps_abs_tol", "eps_rel_tol"))
 
 
 @dataclass
@@ -277,7 +273,7 @@ def aapm(op: TomoOperator, T, Y: np.ndarray, n_materials: int,
     Parameters
     ----------
     op : TomoOperator
-    T : (D, C) array or SpectralDictionary
+    T : (D, C) dictionary array
     Y : (J, C) array of log-corrected data
     n_materials : number of object materials (columns of A), <= D
     config : AapmConfig
@@ -333,6 +329,22 @@ class CjointConfig:
     tol: float = 1e-4                 # relative residual ||Y - W A F|| / ||Y||
     step0: float = 1.0
     callback: Optional[Callable] = None
+
+    def __post_init__(self):
+        _check_loop_settings(self, ("tol",))
+
+
+def _check_loop_settings(cfg, tolerances) -> None:
+    """Reject `_alternating_pg` settings of `AapmConfig` or `CjointConfig` that
+    no run can use."""
+    if cfg.max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {cfg.max_iter}")
+    if not (np.isfinite(cfg.step0) and cfg.step0 > 0):
+        raise ValueError(f"step0 must be positive and finite, got {cfg.step0}")
+    for name in tolerances:
+        value = getattr(cfg, name)
+        if not (np.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass

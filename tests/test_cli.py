@@ -73,6 +73,13 @@ class TestSimulate:
         cli.cmd_simulate(parse_config(tiny_config(seed=2)), b)
         assert (a / "sinogram.adjm").read_bytes() != (b / "sinogram.adjm").read_bytes()
 
+    def test_phantom_generator_limit_writes_nothing(self, tmp_path):
+        cfg = parse_config(tiny_config(
+            phantom={"kind": "shepp_logan", "size": 8, "materials": 2}))
+        with pytest.raises(ValueError, match="n >= 16"):
+            cli.cmd_simulate(cfg, tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
     def test_gaussian_noise_applied_after_log(self, tmp_path):
         clean_dir, noisy_dir = tmp_path / "clean", tmp_path / "noisy"
         base = tiny_config(noise={"poisson": False, "gaussian_percent": 0.0})
@@ -350,7 +357,14 @@ class TestMainEntry:
     @pytest.mark.parametrize("override", [
         {"method_params": {"rho": 2.0}},
         {"channel_selection": {"count": 0}},
-    ], ids=["method_params", "channel_selection"])
+        {"dictionary": {"type": "bogus"}},
+        {"source": {"type": "bogus"}},
+        {"noise": {"poisson": True, "gaussian_percent": -1.0}},
+        {"material_rows": [0, 9]},
+        {"channel_selection": {"count": "dictionary"},     # 8 entries, 5 channels
+         "dictionary": {"type": "synthetic", "materials": 8}},
+    ], ids=["method_params", "channel_selection", "dictionary", "source", "noise",
+            "material_rows", "channel_selection-dictionary"])
     def test_bad_config_writes_nothing(self, tmp_path, command, override):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(
@@ -359,6 +373,19 @@ class TestMainEntry:
         with pytest.raises(data_io.FormatError, match=f"^{section}"):
             cli.main([command, "--config", str(cfg_path)])
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["reconstruct", "--preset", "bogus"],
+        ["evaluate", "--seed", "5"],
+        ["evaluate", "--preset", "bogus"],
+        ["sweep-rho", "--seed", "5"],
+        ["sweep-rho", "--method", "ru"],
+        ["sweep-rho", "--preset", "bogus"],
+    ], ids=lambda argv: " ".join(argv[:2]))
+    def test_flag_the_command_does_not_read_is_error(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--out", str(tmp_path)])
+        assert exc.value.code != 0
 
     def test_unknown_flag_is_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -262,7 +262,9 @@ class TestRunConfig:
         ("phantom", {"phantom": {"kind": "disks", "size": 0, "count": 4}}),
         ("geometry", {"geometry": {"angles": {"count": 0, "stop": np.pi},
                                    "detectors": 32}}),
-    ], ids=["no-channels", "no-size", "zero-size", "zero-angles"])
+        ("material_rows", {"phantom": {"kind": "disks", "size": 32, "count": 7}}),
+    ], ids=["no-channels", "no-size", "zero-size", "zero-angles",
+            "more-materials-than-entries"])
     def test_unbuildable_section_rejected(self, section, override):
         with pytest.raises(FormatError, match=f"^{section} section"):
             parse_config(valid_config(**override))
@@ -271,7 +273,12 @@ class TestRunConfig:
         ("adjust", {"bogus": 1}),
         ("adjust", {"rho": 2.0}),
         ("ru", {"nmf_restarts": 0}),
-    ], ids=["unknown-name", "bad-rho", "bad-restarts"])
+        ("adjust", {"max_iter": 0}),
+        ("adjust", {"step0": 0}),
+        ("cjoint", {"max_iter": 0}),
+        ("cjoint", {"step0": 0}),
+    ], ids=["unknown-name", "bad-rho", "bad-restarts", "adjust-max_iter",
+            "adjust-step0", "cjoint-max_iter", "cjoint-step0"])
     def test_bad_method_params_rejected(self, method, params):
         with pytest.raises(FormatError, match="^method_params"):
             parse_config(valid_config(method=method, method_params=params))

@@ -342,6 +342,17 @@ def test_iteration_budget_validated(solve):
         solve(op, T, Y, 0)
 
 
+@pytest.mark.parametrize("config, field, bad", [
+    (AapmConfig, "step0", 0.0), (AapmConfig, "step0", np.nan),
+    (AapmConfig, "step0", np.inf), (AapmConfig, "eps_abs_tol", -1e-4),
+    (AapmConfig, "eps_rel_tol", np.nan), (CjointConfig, "max_iter", 0),
+    (CjointConfig, "step0", -1.0), (CjointConfig, "tol", np.inf),
+])
+def test_loop_config_rejects_bad_values(config, field, bad):
+    with pytest.raises(ValueError, match=field):
+        config(**{field: bad})
+
+
 @pytest.mark.parametrize("solve", ALTERNATING)
 def test_stall_is_not_convergence(solve, monkeypatch):
     # both line searches fail, so nothing moves: stop at once, unconverged
