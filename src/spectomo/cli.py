@@ -320,15 +320,17 @@ _FLAGS = {
 def _resolve_config(args) -> tuple[RunConfig, Path]:
     if not args.config:
         raise SystemExit("error: --config is required for this command")
-    cfg_path = Path(args.config)
-    raw = json.loads(cfg_path.read_text(encoding="utf-8"))
-    if args.preset:
-        raw = apply_preset(raw, args.preset)
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    if args.method:
-        raw["method"] = args.method
-    cfg = parse_config(raw, base_dir=cfg_path.parent)
+
+    def override(raw):
+        if args.preset:
+            raw = apply_preset(raw, args.preset)
+        if args.seed is not None:
+            raw["seed"] = args.seed
+        if args.method:
+            raw["method"] = args.method
+        return raw
+
+    cfg = load_config(args.config, override)
     out_dir = Path(args.out) if args.out else Path(cfg.output_dir)
     return cfg, out_dir
 

@@ -283,9 +283,11 @@ class RunConfig:
         raise ValueError(f"unknown source type {spec['type']!r}")
 
     def noise_config(self) -> NoiseConfig:
-        return NoiseConfig(
-            poisson=bool(self.noise.get("poisson", False)),
-            gaussian_percent=float(self.noise.get("gaussian_percent", 0.0)))
+        poisson = self.noise.get("poisson", False)
+        if not isinstance(poisson, bool):
+            raise TypeError(f"poisson must be true or false, got {poisson!r}")
+        return NoiseConfig(poisson=poisson,
+                           gaussian_percent=float(self.noise.get("gaussian_percent", 0.0)))
 
     def dictionary_rows(self, n_dict: int) -> np.ndarray:
         """The dictionary row of each phantom material: `material_rows`, or
@@ -296,7 +298,10 @@ class RunConfig:
                              f"only {n_dict} entries")
         if self.raw.get("material_rows") is None:
             return np.round(np.linspace(0, n_dict - 1, m)).astype(int)
-        rows = np.asarray(list(self.raw["material_rows"]), dtype=int)
+        rows = list(self.raw["material_rows"])
+        if not all(isinstance(r, int) and not isinstance(r, bool) for r in rows):
+            raise TypeError(f"rows must be integers, got {rows}")
+        rows = np.asarray(rows, dtype=int)
         if rows.size != m or len(set(rows.tolist())) != m:
             raise ValueError("must list one distinct dictionary row per "
                              "phantom material")
@@ -338,12 +343,16 @@ def method_config(method: str, params: dict, seed: int = 0, callback=None):
     return solvers.TwoStepConfig(seed=seed, **params)
 
 
-def load_config(path) -> RunConfig:
+def load_config(path, edit=None) -> RunConfig:
+    """Read and check a JSON config file; `edit`, if given, rewrites the
+    raw dict before the check (the CLI's preset and flag overrides)."""
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
+    if edit is not None:
+        raw = edit(raw)
     return parse_config(raw, base_dir=path.parent)
 
 

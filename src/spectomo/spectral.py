@@ -135,8 +135,9 @@ class NoiseConfig:
     gaussian_percent: float = 0.0
 
     def __post_init__(self):
-        if self.gaussian_percent < 0:
-            raise ValueError("gaussian_percent must be >= 0")
+        if not (np.isfinite(self.gaussian_percent) and self.gaussian_percent >= 0):
+            raise ValueError(f"gaussian_percent must be finite and >= 0, "
+                             f"got {self.gaussian_percent}")
 
 
 def bin_attenuation(table: AttenuationTable, binning: ChannelBinning) -> SpectralDictionary:

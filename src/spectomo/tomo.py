@@ -20,7 +20,8 @@ Rays that never enter the grid contribute exact zeros.  All computation is
 in 64-bit floats.  ``W`` stores only nonzero weights, in arrays of exactly
 that length, at about 12 bytes each (a float64 value and an int32 column
 index): 57 MiB for a 128x128 grid with 180 angles and 128 detectors.
-Assembly briefly holds every slot, zeros included (69 MiB there).
+Assembly briefly holds every slot, zeros included (69 MiB there), and takes
+about 70 ms there on one core.
 """
 
 from __future__ import annotations
@@ -168,6 +169,15 @@ class TomoOperator:
         exactly ``2 * n_across`` entries, so ``indptr`` is known up front;
         neighbours that fall off the grid get weight 0 and are dropped at
         the end, after which the buffers are cut to the nonzeros.
+
+        Per angle this takes about 20 elementwise passes over a few
+        ``n_det x n_across`` temporaries: the sample positions are formed
+        in place in one buffer, each neighbour's weight in a contiguous
+        temporary that is written to its interleaved slots once, and the
+        upper neighbour's index is the lower one's plus a stride, with the
+        integer work in the index dtype.  Of the 70 ms at 128x128 with 180
+        angles, ``eliminate_zeros`` takes about 13 and page faults on the
+        first writes into the fresh buffers about 20.
         """
         g, geom = self.grid, self.geometry
         nx, ny, p = g.nx, g.ny, g.pixel_size
@@ -180,7 +190,8 @@ class TomoOperator:
 
         row_nnz = np.repeat(2 * np.where(y_dom, ny, nx), geom.n_det)
         nnz = int(row_nnz.sum())
-        index_dtype = np.int32 if max(nnz, g.n_pixels) < 2 ** 31 else np.int64
+        index_dtype, unsigned = ((np.int32, np.uint32) if max(nnz, g.n_pixels) < 2 ** 31
+                                 else (np.int64, np.uint64))
         indptr = np.zeros(geom.n_rays + 1, dtype=index_dtype)
         np.cumsum(row_nnz, out=indptr[1:])
         indices = np.empty(nnz, dtype=index_dtype)
@@ -194,31 +205,43 @@ class TomoOperator:
             else:
                 across, u, v, o, n_along, stride_along, stride_across = (
                     xc, c, s, g.origin[1], ny, nx, 1)
-            frac = ((t - across * u) / v - o) / p + (n_along - 1) / 2.0
+            frac = t - across * u                      # (n_det, n_across)
+            frac /= v
+            if o != 0.0:                               # x - 0.0 and x / 1.0 are x
+                frac -= o
+            if p != 1.0:
+                frac /= p
+            frac += (n_along - 1) / 2.0
             step = p / abs(v)
 
-            i0 = np.floor(frac).astype(np.int64)         # (n_det, n_across)
-            w1 = frac - i0
-            w0 = (1.0 - w1) * np.where((i0 >= 0) & (i0 < n_along), step, 0.0)
-            w1 = w1 * np.where((i0 + 1 >= 0) & (i0 + 1 < n_along), step, 0.0)
-            rows = np.arange(across.size) * stride_across
+            i = np.floor(frac)
+            frac -= i                                  # upper neighbour's share
+            # clip in floats so the cast cannot wrap; -2 and n_along stay off the grid
+            i = np.clip(i, -2, n_along, out=i).astype(index_dtype)
+            rows = np.arange(across.size, dtype=index_dtype) * stride_across
 
             lo, hi = indptr[a * geom.n_det], indptr[(a + 1) * geom.n_det]
             idx = indices[lo:hi].reshape(geom.n_det, across.size, 2)
             val = data[lo:hi].reshape(geom.n_det, across.size, 2)
-            idx[..., 0] = rows + np.clip(i0, 0, n_along - 1) * stride_along
-            idx[..., 1] = rows + np.clip(i0 + 1, 0, n_along - 1) * stride_along
-            val[..., 0] = w0
-            val[..., 1] = w1
+            # neighbour k is pixel i + k; off the grid its weight is 0, so
+            # eliminate_zeros drops the slot and its index is never read
+            np.add(i * stride_along, rows, out=idx[..., 0])
+            np.add(idx[..., 0], stride_along, out=idx[..., 1])
+            for k, w in enumerate((1.0 - frac, frac)):
+                w *= step
+                # as unsigned, a negative index is huge: one test, both ends
+                np.copyto(w, 0.0, where=(i + k).view(unsigned) >= n_along)
+                val[..., k] = w
 
         shape = (geom.n_rays, g.n_pixels)
         W = sparse.csr_array((data, indices, indptr), shape=shape)
         W.eliminate_zeros()           # compacts in the fill buffers, in place
         # W's arrays are still views of buffers sized for every slot; shrink
         # the buffers in place to the nonzeros (a copy would briefly hold
-        # two matrices) and wrap them again
+        # two matrices) and wrap them again.  No view is left when they are
+        # resized; refcheck would also count a trace hook's frame locals.
         nnz = W.nnz
         del W, idx, val
-        indices.resize(nnz)
-        data.resize(nnz)
+        indices.resize(nnz, refcheck=False)
+        data.resize(nnz, refcheck=False)
         return sparse.csr_array((data, indices, indptr), shape=shape)

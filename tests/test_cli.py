@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -373,6 +374,14 @@ class TestMainEntry:
         with pytest.raises(data_io.FormatError, match=f"^{section}"):
             cli.main([command, "--config", str(cfg_path)])
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "pipeline"])
+    def test_malformed_config_file_names_path(self, tmp_path, command):
+        cfg_path = tmp_path / "broken.json"
+        cfg_path.write_text('{\n  "seed": 1,\n  broken\n}')
+        with pytest.raises(data_io.FormatError,
+                           match=f"^{re.escape(str(cfg_path))}:3: invalid JSON"):
+            cli.main([command, "--config", str(cfg_path)])
 
     @pytest.mark.parametrize("argv", [
         ["reconstruct", "--preset", "bogus"],

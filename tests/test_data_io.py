@@ -309,6 +309,19 @@ class TestRunConfig:
                 documented[method] = set(re.findall(r"`(\w+)`", body))
         assert documented == {m: set(n) for m, n in METHOD_PARAMS.items()}
 
+    @pytest.mark.parametrize("section,override", [
+        ("noise", {"noise": {"poisson": False, "gaussian_percent": float("nan")}}),
+        ("noise", {"noise": {"poisson": False, "gaussian_percent": float("inf")}}),
+        ("noise", {"noise": {"poisson": "no"}}),
+        ("noise", {"noise": {"poisson": 1}}),
+        ("material_rows", {"material_rows": [0.9, 2.7, 3, 4]}),
+        ("material_rows", {"material_rows": [0, 1, 2.0, 3]}),
+    ], ids=["gaussian-nan", "gaussian-inf", "poisson-text", "poisson-int",
+            "rows-fractional", "rows-float"])
+    def test_loosely_typed_value_rejected(self, section, override):
+        with pytest.raises(FormatError, match=f"^{section} section invalid"):
+            parse_config(valid_config(**override))
+
     def test_invalid_json_reports_position(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{\n  broken\n}")

@@ -1,3 +1,6 @@
+import hashlib
+import sys
+
 import numpy as np
 import pytest
 
@@ -222,3 +225,76 @@ class TestAssembledMatrix:
             array = getattr(op.W, name)
             assert array.size == op.W.nnz, name
             assert owner(array).nbytes == array.nbytes, name
+
+    def test_builds_under_trace_and_profile_hooks(self):
+        # debuggers, coverage and profilers install these hooks; they keep
+        # the frame's locals alive, which the in-place shrink must tolerate
+        def hook(frame, event, arg):
+            return hook
+
+        old_trace, old_profile = sys.gettrace(), sys.getprofile()
+        sys.settrace(hook)
+        sys.setprofile(hook)
+        try:
+            op = make_op(n=16, n_angles=12, n_det=24)
+        finally:
+            sys.settrace(old_trace)
+            sys.setprofile(old_profile)
+        assert op.W.data.size == op.W.nnz
+        assert np.array_equal(op.W.toarray(), make_op(n=16, n_angles=12, n_det=24).W.toarray())
+
+
+# nnz and sha256 of W's indptr, indices and data bytes for five geometries:
+# a change to any weight, index or order of the entries within a row shows
+# here, even one far below the dense-oracle tolerances above
+PINNED_W = {
+    "64x64-60": (
+        lambda: (Grid2D(64, 64), ParallelGeometry(equispaced_angles(60), 64)),
+        409216,
+        "a32efbaa2d72b6295607c8ae3b800de375eac377f733ac287079da27991e9e7c",
+        "d46c66a61cada3de016948a8df0aa382800276e9f3d05040107dbb9a2ae8aa8f",
+        "c6ee4314cee481e6cb06aa79cd44eca68ed79c72eea0d9a83d3ce7de2fc9302c"),
+    # the simulation's 2x operator: first of its two angle blocks
+    "refined-half-block": (
+        lambda: (Grid2D(64, 64).refine(2),
+                 ParallelGeometry(np.array_split(equispaced_angles(60), 2)[0], 64)),
+        417384,
+        "8a6abd5e02b0e3e2c9a7bc22fd9bf96e7861af4531aa2001bacd575c41c84710",
+        "f118ac93841ba9957401c3a87785ebfdcc8eb180ffdce343cdf363b7c839d789",
+        "4dc06bb43405d628dc1c570ee935c056598e490d6ad4a2d69093089aa3cd0fee"),
+    # non-zero origin, pixel size and detector spacing != 1, a detector
+    # wider than the grid, the pi/4 tie, a negative angle and one above 2 pi
+    "rect-wide-detector": (
+        lambda: (Grid2D(23, 17, pixel_size=0.7, origin=(0.4, -1.3)),
+                 ParallelGeometry(np.array([0.0, np.pi / 4, 3 * np.pi / 4, -0.3, 7.0, 2.2]),
+                                  41, 0.9)),
+        2970,
+        "76dd4c0f3b7e9fac2baa271562a6d81aaa9ca9406ad3384f057722d3d3534816",
+        "181878eb337961099e785bd0660f5bb6aee6a433d9f473b8ef2a61a51f95f23a",
+        "455ca979bb4362e3e895ba60734b403d54b772e4fad2bdc0d03a15042bdac9fb"),
+    "one-angle": (
+        lambda: (Grid2D(32, 32), ParallelGeometry(np.array([0.3]), 40)),
+        1956,
+        "d3536cc5be1b0b7c3e51f6fb01028225aae22e73743c78e18f434b8b37bb7a7b",
+        "c6b1026e9ada3a57e60a1a3ff68150fb8b368cb0599a3076ce67544a6101d30b",
+        "74483e9b362977a59b4fcd50324937abb1d87310360f468f41c5919d6b87bed5"),
+    # 12 of the 20 angles y-dominant, the rest x-dominant
+    "mixed-dominance": (
+        lambda: (Grid2D(40, 24, pixel_size=1.5),
+                 ParallelGeometry(np.random.default_rng(5).uniform(-np.pi, 2 * np.pi, 20),
+                                  30, 1.3)),
+        32242,
+        "ba27324b529233e396f28dcec36ee5ace204cbdd43ffc9e3f0dcb011664a7d29",
+        "121ad77c837e603581231d1a180f91e7166875b9771f1e9d4a4813930d168c8b",
+        "f3c9976f2d5b124beed0161c757dc679993eccc1ec34413c12718ac60b53480e"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_W)
+def test_assembled_matrix_is_bit_identical_to_recorded(name):
+    build, nnz, *digests = PINNED_W[name]
+    W = TomoOperator(*build()).W
+    assert W.nnz == nnz
+    assert (W.indptr.dtype, W.indices.dtype, W.data.dtype) == (np.int32, np.int32, np.float64)
+    got = [hashlib.sha256(getattr(W, a).tobytes()).hexdigest() for a in ("indptr", "indices", "data")]
+    assert got == digests
