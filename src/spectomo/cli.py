@@ -129,7 +129,8 @@ def cmd_reconstruct(out_dir: Path, method: str | None = None,
                     method_params: dict | None = None,
                     seed: int | None = None) -> Path:
     """Run one solver on a simulated run directory; writes maps, spectra,
-    (for adjust) coefficients, and an iteration history CSV."""
+    (for adjust) coefficients, an iteration history CSV and
+    ``reconstruct_meta.json`` with the solve time and why the loop stopped."""
     out_dir = Path(out_dir)
     manifest = _load_manifest(out_dir)
     cfg = parse_config(manifest["config"])
@@ -153,9 +154,13 @@ def cmd_reconstruct(out_dir: Path, method: str | None = None,
         data_io.save_matrix(method_dir / "coeffs.adjm", result.R)
     data_io.save_matrix(method_dir / "maps.adjm", result.A)
     data_io.save_matrix(method_dir / "spectra.adjm", result.F)
+    # the two-step baselines have no loop, so no stop reason
     with open(method_dir / "reconstruct_meta.json", "w", encoding="utf-8") as fh:
         json.dump({"method": method, "seconds": elapsed, "params": params,
-                   "seed": seed}, fh, indent=2)
+                   "seed": seed,
+                   "stop_reason": getattr(result, "stop_reason", None),
+                   "step_failures": getattr(result, "step_failures", None)},
+                  fh, indent=2)
     return method_dir
 
 

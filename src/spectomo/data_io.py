@@ -220,40 +220,47 @@ class RunConfig:
     raw: dict = field(default_factory=dict)
 
     def grid(self) -> Grid2D:
-        n = int(self.phantom["size"])
-        return Grid2D(n, n, float(self.phantom.get("pixel_size", 1.0)))
+        n = _number(self.phantom["size"], "size", integral=True)
+        return Grid2D(n, n, _number(self.phantom.get("pixel_size", 1.0),
+                                    "pixel_size"))
 
     def parallel_geometry(self) -> ParallelGeometry:
         spec = self.geometry
         ang = spec["angles"]
         if "list" in ang:
-            angles = np.asarray(ang["list"], dtype=np.float64)
+            angles = np.array([_number(a, "angle") for a in ang["list"]],
+                              dtype=np.float64)
             if angles.size == 0:
                 raise ValueError("geometry.angles.list must be nonempty")
             if not np.all((angles >= 0) & (angles < 2 * np.pi)):
                 raise ValueError("explicit angles must lie in [0, 2*pi)")
         else:
-            start, stop = float(ang.get("start", 0.0)), float(ang["stop"])
+            start = _number(ang.get("start", 0.0), "start")
+            stop = _number(ang["stop"], "stop")
             if not 0.0 <= start < stop <= 2 * np.pi:
                 raise ValueError(f"angle range [{start}, {stop}) must be a "
                                  "subset of [0, 2*pi)")
-            angles = equispaced_angles(int(ang["count"]), start, stop)
-        n_det = int(spec.get("detectors", self.phantom["size"]))
-        spacing = float(spec.get("detector_spacing", 1.0))
+            angles = equispaced_angles(
+                _number(ang["count"], "count", integral=True), start, stop)
+        n_det = _number(spec.get("detectors", self.phantom["size"]),
+                        "detectors", integral=True)
+        spacing = _number(spec.get("detector_spacing", 1.0), "detector_spacing")
         return ParallelGeometry(angles=angles, n_det=n_det, det_spacing=spacing)
 
     def channel_binning(self) -> ChannelBinning:
         b = self.binning
-        return ChannelBinning.equidistant(int(b["channels"]),
-                                          float(b["energy_min"]),
-                                          float(b["energy_max"]))
+        return ChannelBinning.equidistant(
+            _number(b["channels"], "channels", integral=True),
+            _number(b["energy_min"], "energy_min"),
+            _number(b["energy_max"], "energy_max"))
 
     def n_phantom_materials(self) -> int:
         kind = self.phantom["kind"]
         if kind not in PHANTOM_KINDS:
             raise ValueError(f"unknown phantom kind {kind!r}; "
                              f"choose from {tuple(PHANTOM_KINDS)}")
-        return int(self.phantom[PHANTOM_KINDS[kind]])
+        key = PHANTOM_KINDS[kind]
+        return _number(self.phantom[key], key, integral=True)
 
     def phantom_map(self, grid: Grid2D) -> phantoms.MaterialMap:
         """Render the phantom on `grid`; the generator checks its own limits."""
@@ -264,9 +271,9 @@ class RunConfig:
         spec = self.dictionary
         if spec["type"] == "synthetic":
             return spectral.kedge_dictionary(
-                int(spec["materials"]), binning,
-                peak=float(spec.get("peak", 0.1)),
-                edge_jump=float(spec.get("edge_jump", 6.0)))
+                _number(spec["materials"], "materials", integral=True), binning,
+                peak=_number(spec.get("peak", 0.1), "peak"),
+                edge_jump=_number(spec.get("edge_jump", 6.0), "edge_jump"))
         if spec["type"] == "csv":
             return spectral.bin_attenuation(load_attenuation_csv(spec["path"]),
                                             binning)
@@ -275,19 +282,20 @@ class RunConfig:
     def source_spectrum(self, binning: ChannelBinning) -> SourceSpectrum:
         spec = self.source
         if spec["type"] == "flat":
-            return SourceSpectrum.flat(binning.n_channels,
-                                       float(spec.get("photons", 1e4)))
+            return SourceSpectrum.flat(
+                binning.n_channels, _number(spec.get("photons", 1e4), "photons"))
         if spec["type"] == "csv":
-            return source_from_csv(spec["path"], binning,
-                                   scale=float(spec.get("scale", 1.0)))
+            return source_from_csv(
+                spec["path"], binning,
+                scale=_number(spec.get("scale", 1.0), "scale"))
         raise ValueError(f"unknown source type {spec['type']!r}")
 
     def noise_config(self) -> NoiseConfig:
         poisson = self.noise.get("poisson", False)
         if not isinstance(poisson, bool):
             raise TypeError(f"poisson must be true or false, got {poisson!r}")
-        return NoiseConfig(poisson=poisson,
-                           gaussian_percent=float(self.noise.get("gaussian_percent", 0.0)))
+        return NoiseConfig(poisson=poisson, gaussian_percent=_number(
+            self.noise.get("gaussian_percent", 0.0), "gaussian_percent"))
 
     def dictionary_rows(self, n_dict: int) -> np.ndarray:
         """The dictionary row of each phantom material: `material_rows`, or
@@ -298,10 +306,8 @@ class RunConfig:
                              f"only {n_dict} entries")
         if self.raw.get("material_rows") is None:
             return np.round(np.linspace(0, n_dict - 1, m)).astype(int)
-        rows = list(self.raw["material_rows"])
-        if not all(isinstance(r, int) and not isinstance(r, bool) for r in rows):
-            raise TypeError(f"rows must be integers, got {rows}")
-        rows = np.asarray(rows, dtype=int)
+        rows = np.array([_number(r, "each row", integral=True)
+                         for r in self.raw["material_rows"]], dtype=int)
         if rows.size != m or len(set(rows.tolist())) != m:
             raise ValueError("must list one distinct dictionary row per "
                              "phantom material")
@@ -324,6 +330,16 @@ class RunConfig:
                              "'dictionary' (one channel per dictionary entry, "
                              f"{n_dict} here), got {count!r}")
         return k
+
+
+def _number(value, name: str, integral: bool = False):
+    """`value` as a float, or as an int where `integral`; anything but a
+    JSON number (a bool, a string, a fraction where a count is due) raises
+    `TypeError`."""
+    kinds, kind = (int, "an integer") if integral else ((int, float), "a number")
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise TypeError(f"{name} must be {kind}, got {value!r}")
+    return value if integral else float(value)
 
 
 def method_config(method: str, params: dict, seed: int = 0, callback=None):
@@ -351,6 +367,7 @@ def load_config(path, edit=None) -> RunConfig:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
+    _check_object(raw, f"{path}: ")
     if edit is not None:
         raw = edit(raw)
     return parse_config(raw, base_dir=path.parent)
@@ -362,6 +379,7 @@ def parse_config(raw: dict, base_dir: Path | str = ".") -> RunConfig:
     is simulated or written, with a `FormatError` that starts with its name;
     only the phantom generator's own limits wait for `simulate`."""
     base_dir = Path(base_dir)
+    _check_object(raw)
     version = raw.get("config_version")
     if version != CONFIG_VERSION:
         raise FormatError(f"unsupported config_version {version!r}, "
@@ -393,7 +411,7 @@ def parse_config(raw: dict, base_dir: Path | str = ".") -> RunConfig:
         method=raw["method"],
         method_params=raw.get("method_params", {}),
         output_dir=str(raw["output_dir"]),
-        seed=int(raw.get("seed", 0)),
+        seed=_build("seed", _number, raw.get("seed", 0), "seed", True),
         raw=raw,
     )
     _build("phantom", cfg.grid)
@@ -408,6 +426,12 @@ def parse_config(raw: dict, base_dir: Path | str = ".") -> RunConfig:
     _build("method", method_config, cfg.method, {})
     _build("method_params", method_config, cfg.method, cfg.method_params)
     return cfg
+
+
+def _check_object(raw, where: str = "") -> None:
+    if not isinstance(raw, dict):
+        raise FormatError(f"{where}a config must be a JSON object, "
+                          f"got {type(raw).__name__}")
 
 
 def _build(section: str, build, *args):

@@ -15,6 +15,11 @@ import warnings
 
 import numpy as np
 
+# Dykstra's stopping rule: the change of its corrections and the row-sum
+# excess must both fall to DYKSTRA_TOL within DYKSTRA_MAX_SWEEPS sweeps
+DYKSTRA_TOL = 1e-10
+DYKSTRA_MAX_SWEEPS = 500
+
 
 def project_rows_capped_simplex(Z: np.ndarray) -> np.ndarray:
     """Project each row of `Z` onto {x >= 0, sum(x) <= 1}.
@@ -51,8 +56,7 @@ def _rows_to_unit_simplex(Z: np.ndarray) -> np.ndarray:
     return np.maximum(Z - lam[:, None], 0.0)
 
 
-def project_doubly_capped(Z: np.ndarray, tol: float = 1e-10,
-                          max_iter: int = 500) -> np.ndarray:
+def project_doubly_capped(Z: np.ndarray) -> np.ndarray:
     """Project onto {X >= 0, row sums <= 1, column sums <= 1}.
 
     Dykstra's alternating scheme over the row- and column-capped sets:
@@ -64,37 +68,30 @@ def project_doubly_capped(Z: np.ndarray, tol: float = 1e-10,
     projection, the correction terms make the limit the exact nearest point
     of the intersection.  Convergence is declared when the corrections stop
     changing (the iterate itself can stall for a few iterations before
-    moving again) and the row sums are within 1e-10 of feasible; columns
-    and nonnegativity are exact, being the last projection applied.
-    Non-convergence within `max_iter` returns the last iterate with a
-    warning rather than raising.
+    moving again) and the row sums are within `DYKSTRA_TOL` of feasible;
+    columns and nonnegativity are exact, being the last projection applied.
+    Non-convergence within `DYKSTRA_MAX_SWEEPS` sweeps returns the last
+    iterate with a warning rather than raising.
     """
     Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
     if not np.all(np.isfinite(Z)):
         raise ValueError("projection input contains non-finite entries")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     X = Z.copy()
     P = np.zeros_like(Z)
     Q = np.zeros_like(Z)
-    change = np.inf
-    for _ in range(max_iter):
+    for _ in range(DYKSTRA_MAX_SWEEPS):
         Y = project_rows_capped_simplex(X + P)
         P_new = X + P - Y
         X = project_cols_capped_simplex(Y + Q)
         Q_new = Y + Q - X
         change = np.sqrt(np.sum((P_new - P) ** 2) + np.sum((Q_new - Q) ** 2))
         P, Q = P_new, Q_new
-        if change <= tol and _row_violation(X) <= 1e-10:
+        if change <= DYKSTRA_TOL and X.sum(axis=1).max() - 1.0 <= DYKSTRA_TOL:
             return X
     warnings.warn(
-        f"doubly capped projection did not converge in {max_iter} iterations "
-        f"(last correction change {change:.3e})", RuntimeWarning)
+        f"doubly capped projection did not converge in {DYKSTRA_MAX_SWEEPS} "
+        f"sweeps (last correction change {change:.3e})", RuntimeWarning)
     return X
-
-
-def _row_violation(X: np.ndarray) -> float:
-    return max(float(np.max(X.sum(axis=1)) - 1.0), 0.0)
 
 
 # The material-map constraint set only bounds row sums, so its projection

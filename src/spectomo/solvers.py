@@ -144,10 +144,40 @@ class IterationRecord:
     beta: float
 
 
+@dataclass
+class FactorResult:
+    """Where an alternating run ended: the factors of ``Y ~ W A F``, the
+    per-iteration history, why the loop stopped and how many line searches
+    found no step.  `stop_reason` is ``residual`` (the data residual reached
+    its tolerance), ``stationary`` (the iterate moved less than its
+    tolerance and no line search failed), ``stalled`` (both line searches
+    failed, so nothing moved) or ``max_iter``."""
+    A: np.ndarray
+    F: np.ndarray
+    history: list[IterationRecord]
+    stop_reason: str
+    step_failures: int
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason in ("residual", "stationary")
+
+    @property
+    def n_iter(self) -> int:
+        return len(self.history)
+
+
+@dataclass
+class AapmResult(FactorResult):
+    """`FactorResult` of `aapm`, whose spectra are ``F = R @ T``."""
+    R: np.ndarray                     # dictionary coefficients, feasible
+    U: np.ndarray                     # running sum of errors
+
+
 def _alternating_pg(op, T, Y, A, X, project_A, project_X, rho, max_iter,
-                    eps_abs_tol, eps_rel_tol, step0, callback):
-    """The loop of `aapm` and `cjoint` (`aapm` gives the stopping rule); returns
-    ``(A, X, U, history, converged, step_failures)``."""
+                    eps_abs_tol, eps_rel_tol, step0, callback) -> AapmResult:
+    """The loop of `aapm` and `cjoint` (`aapm` gives the stopping rule); its
+    result holds the coefficient block `X` as `R` and ``X @ T`` as `F`."""
     U = np.zeros_like(Y)
     Yk = Y.copy() if rho else Y       # the shifted data Y + U, updated in place
 
@@ -157,35 +187,40 @@ def _alternating_pg(op, T, Y, A, X, project_A, project_X, rho, max_iter,
         return _misfit(Ec), (WAc, Ec)
 
     jt, (WA, E) = value(op.forward(A), X @ T)
+
+    def step(x, grad, project, value_at, memory):
+        """One block's backtracking from twice its memorized step; the
+        accepted trial's ``(WA, E)`` replace the loop's.  Returns the new
+        block, the accepted step (0 if none) and the new memory."""
+        nonlocal jt, WA, E
+        x_new, t, jt, aux = backtracking(x, grad, project, value_at, jt,
+                                         2.0 * memory)
+        if t > 0.0:
+            WA, E = aux
+            # grow the memorized step only on real movement, otherwise a
+            # stalled block would double it without bound
+            if not np.array_equal(x_new, x):
+                memory = t
+        return x_new, t, memory
+
     norm_Y = float(np.linalg.norm(Y))
     alpha = beta = step0
     history: list[IterationRecord] = []
     step_failures = 0
+    stop_reason = None
 
-    for k in range(1, max_iter + 1):
+    while stop_reason is None:
+        k = len(history) + 1
         # X step at (A_k, X_k, U_k); WA, E and jt are kept from the A step
         if not np.isfinite(jt):
             raise RuntimeError(f"non-finite objective at iteration {k}: {jt!r}; "
                                "check the data scaling and step sizes")
-        X_new, a_step, jt, aux = backtracking(
-            X, _grad_coeffs(WA, E, T), project_X,
-            lambda Xc: value(WA, Xc @ T), jt, 2.0 * alpha)
-        if a_step > 0.0:
-            E = aux[1]
-            # grow the memorized step only on real movement, otherwise a
-            # stalled block would double it without bound
-            if not np.array_equal(X_new, X):
-                alpha = a_step
-
+        X_new, a_step, alpha = step(X, _grad_coeffs(WA, E, T), project_X,
+                                    lambda Xc: value(WA, Xc @ T), alpha)
         # A step at (A_k, X_{k+1}, U_k)
         RT = X_new @ T
-        A_new, b_step, jt, aux = backtracking(
-            A, _grad_maps(op, E, RT), project_A,
-            lambda Ac: value(op.forward(Ac), RT), jt, 2.0 * beta)
-        if b_step > 0.0:
-            WA, E = aux
-            if not np.array_equal(A_new, A):
-                beta = b_step
+        A_new, b_step, beta = step(A, _grad_maps(op, E, RT), project_A,
+                                   lambda Ac: value(op.forward(Ac), RT), beta)
         failed = int(a_step == 0.0) + int(b_step == 0.0)
         step_failures += failed
 
@@ -215,12 +250,16 @@ def _alternating_pg(op, T, Y, A, X, project_A, project_X, rho, max_iter,
         A, X = A_new, X_new
         if callback is not None:
             callback(k, A, X, record)
-        if record.eps_abs <= eps_abs_tol or (
-                not failed and record.eps_rel <= eps_rel_tol):
-            return A, X, U, history, True, step_failures
-        if failed == 2:
-            break
-    return A, X, U, history, False, step_failures
+        if record.eps_abs <= eps_abs_tol:
+            stop_reason = "residual"
+        elif not failed and record.eps_rel <= eps_rel_tol:
+            stop_reason = "stationary"
+        elif failed == 2:
+            stop_reason = "stalled"
+        elif k >= max_iter:
+            stop_reason = "max_iter"
+    return AapmResult(A=A, F=X @ T, history=history, stop_reason=stop_reason,
+                      step_failures=step_failures, R=X, U=U)
 
 
 @dataclass
@@ -242,18 +281,6 @@ class AapmConfig:
         _check_loop_settings(self, ("eps_abs_tol", "eps_rel_tol"))
 
 
-@dataclass
-class AapmResult:
-    A: np.ndarray                     # material maps, feasible
-    R: np.ndarray                     # dictionary coefficients, feasible
-    U: np.ndarray                     # running sum of errors
-    F: np.ndarray                     # recovered spectra R @ T
-    history: list[IterationRecord]
-    converged: bool
-    n_iter: int
-    step_failures: int
-
-
 def aapm(op: TomoOperator, T, Y: np.ndarray, n_materials: int,
          config: AapmConfig | None = None) -> AapmResult:
     """Dictionary-constrained joint reconstruction and unmixing.
@@ -265,10 +292,12 @@ def aapm(op: TomoOperator, T, Y: np.ndarray, n_materials: int,
     ``rho (Y - W A R T)`` after each iteration (multiplier ascent).
 
     Stops when either the data residual ``||Y - W A R T|| / ||Y||`` falls
-    below ``eps_abs_tol``, the iterate movement ``||dA|| + ||dR||`` falls
-    below ``eps_rel_tol`` in an iteration where no line search failed, or
-    `max_iter` is reached.  An iteration in which both line searches fail
-    moves nothing, so the run stops there with ``converged=False``.
+    below ``eps_abs_tol`` (stop reason ``residual``), the iterate movement
+    ``||dA|| + ||dR||`` falls below ``eps_rel_tol`` in an iteration where no
+    line search failed (``stationary``), or `max_iter` is reached
+    (``max_iter``).  An iteration in which both line searches fail moves
+    nothing, so the run stops there (``stalled``); only the first two count
+    as converged.
 
     Parameters
     ----------
@@ -280,7 +309,8 @@ def aapm(op: TomoOperator, T, Y: np.ndarray, n_materials: int,
 
     Returns
     -------
-    AapmResult with feasible `A`, `R` and the per-iteration history.
+    AapmResult with feasible `A`, `R`, the per-iteration history and the
+    stop reason.
     """
     cfg = config or AapmConfig()
     T = _dict_matrix(T)
@@ -293,13 +323,10 @@ def aapm(op: TomoOperator, T, Y: np.ndarray, n_materials: int,
         raise ValueError(f"data must be {(op.n_rays, T.shape[1])}, got {Y.shape}")
 
     A, R = _initial_point(op.n_image, M, D, cfg)
-    A, R, U, history, converged, step_failures = _alternating_pg(
+    return _alternating_pg(
         op, T, Y, A, R, project_material_map, project_doubly_capped,
         cfg.rho, cfg.max_iter, cfg.eps_abs_tol, cfg.eps_rel_tol, cfg.step0,
         cfg.callback)
-    return AapmResult(A=A, R=R, U=U, F=R @ T, history=history,
-                      converged=converged, n_iter=len(history),
-                      step_failures=step_failures)
 
 
 def _initial_point(N, M, D, cfg: AapmConfig):
@@ -337,23 +364,14 @@ class CjointConfig:
 def _check_loop_settings(cfg, tolerances) -> None:
     """Reject `_alternating_pg` settings of `AapmConfig` or `CjointConfig` that
     no run can use."""
-    if cfg.max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {cfg.max_iter}")
+    if type(cfg.max_iter) is not int or cfg.max_iter < 1:
+        raise ValueError(f"max_iter must be an int >= 1, got {cfg.max_iter!r}")
     if not (np.isfinite(cfg.step0) and cfg.step0 > 0):
         raise ValueError(f"step0 must be positive and finite, got {cfg.step0}")
     for name in tolerances:
         value = getattr(cfg, name)
         if not (np.isfinite(value) and value >= 0):
             raise ValueError(f"{name} must be finite and >= 0, got {value}")
-
-
-@dataclass
-class FactorResult:
-    A: np.ndarray
-    F: np.ndarray
-    history: list[IterationRecord]
-    converged: bool
-    n_iter: int
 
 
 def cjoint(op: TomoOperator, Y: np.ndarray, n_materials: int,
@@ -378,12 +396,11 @@ def cjoint(op: TomoOperator, Y: np.ndarray, n_materials: int,
     scale = max(float(rs @ Y.sum(axis=1)) / denom, 0.0) if denom > 0 else 0.0
     F = np.full((M, C), scale)
 
-    A, F, _, history, converged, _ = _alternating_pg(
+    run = _alternating_pg(
         op, np.eye(C), Y, A, F, clip, clip, 0.0, cfg.max_iter, cfg.tol, 0.0,
         cfg.step0, cfg.callback)
-    A, F = _normalize_factor_scale(A, F)
-    return FactorResult(A=A, F=F, history=history, converged=converged,
-                        n_iter=len(history))
+    A, F = _normalize_factor_scale(run.A, run.R)          # T = I: R is F
+    return FactorResult(A, F, run.history, run.stop_reason, run.step_failures)
 
 
 def _normalize_factor_scale(A, F):

@@ -1,12 +1,15 @@
 import hashlib
+import importlib.util
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spectomo import cli, data_io, evaluation
+from spectomo import cli, data_io, evaluation, projections, solvers
 from spectomo.data_io import parse_config
+from spectomo.tomo import TomoOperator
 
 
 def tiny_config(**overrides):
@@ -111,9 +114,23 @@ class TestReconstructEvaluate:
             assert (method_dir / "coeffs.adjm").exists()
         report = cli.cmd_evaluate(run_dir, method=method)
         assert 0.0 <= report["ssim_avg"] <= 1.0
-        from pathlib import Path
         for path in report["artifacts"]["images"]:
             assert Path(path).exists()
+
+    @pytest.mark.parametrize("method,params,reason,failures", [
+        ("adjust", {"max_iter": 3, "random_init": True}, "max_iter", 0),
+        ("cjoint", {"max_iter": 3}, "max_iter", 0),
+        ("ru", {"nmf_restarts": 1, "nmf_iters": 5}, None, None),
+    ], ids=["adjust", "cjoint", "ru"])
+    def test_meta_records_why_the_solver_stopped(self, run_dir, method, params,
+                                                 reason, failures):
+        method_dir = cli.cmd_reconstruct(run_dir, method=method,
+                                         method_params=params)
+        meta = json.loads((method_dir / "reconstruct_meta.json").read_text())
+        assert list(meta) == ["method", "seconds", "params", "seed",
+                              "stop_reason", "step_failures"]
+        assert meta["stop_reason"] == reason
+        assert meta["step_failures"] == failures
 
     def test_history_has_iteration_rows(self, run_dir):
         method_dir = cli.cmd_reconstruct(run_dir, method="adjust",
@@ -237,7 +254,6 @@ class TestReconstructEvaluate:
         cli.cmd_reconstruct(run_dir, method="cjoint",
                             method_params={"max_iter": 10})
         report = cli.cmd_evaluate(run_dir, method="cjoint")
-        from pathlib import Path
         arts = report["artifacts"]
         for key in ("results_csv", "spectra_csv", "history_csv"):
             assert Path(arts[key]).exists()
@@ -383,6 +399,15 @@ class TestMainEntry:
                            match=f"^{re.escape(str(cfg_path))}:3: invalid JSON"):
             cli.main([command, "--config", str(cfg_path)])
 
+    @pytest.mark.parametrize("command", ["simulate", "pipeline"])
+    def test_config_file_not_an_object_names_path(self, tmp_path, command):
+        cfg_path = tmp_path / "list.json"
+        cfg_path.write_text("[1, 2]")
+        with pytest.raises(data_io.FormatError,
+                           match=f"^{re.escape(str(cfg_path))}: a config must "
+                                 "be a JSON object, got list"):
+            cli.main([command, "--config", str(cfg_path), "--preset", "full"])
+
     @pytest.mark.parametrize("argv", [
         ["reconstruct", "--preset", "bogus"],
         ["evaluate", "--seed", "5"],
@@ -412,3 +437,30 @@ class TestMainEntry:
     def test_missing_config_reports_error(self):
         with pytest.raises(SystemExit):
             cli.main(["simulate"])
+
+
+def test_benchmark_tracer_wraps_a_tiny_pipeline(tmp_path):
+    # benchmarks/tracing.py patches package names from outside the package;
+    # a name it no longer finds would make its counters read zero
+    path = Path(__file__).parents[1] / "benchmarks" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("benchmark_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    originals = (solvers.backtracking, projections.project_rows_capped_simplex,
+                 TomoOperator.forward)
+    cfg = parse_config(tiny_config())
+    tracer = tracing.Tracer(cfg.grid().n_pixels)
+    tracer.install()
+    try:
+        cli.cmd_simulate(cfg, tmp_path / "run")
+        method_dir = cli.cmd_reconstruct(tmp_path / "run", "adjust")
+    finally:
+        tracer.uninstall()
+    assert (solvers.backtracking, projections.project_rows_capped_simplex,
+            TomoOperator.forward) == originals
+    metrics = tracer.layer_metrics()
+    for name in ("solvers.linesearch_trials", "projections.dykstra_sweeps",
+                 "tomo.forward_calls"):
+        assert metrics[name] > 0, name
+    last = (method_dir / "history.csv").read_text().splitlines()[-1]
+    assert metrics["solvers.final_eps_abs"] == float(last.split(",")[2])

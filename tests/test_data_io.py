@@ -322,6 +322,46 @@ class TestRunConfig:
         with pytest.raises(FormatError, match=f"^{section} section invalid"):
             parse_config(valid_config(**override))
 
+    @pytest.mark.parametrize("section,override", [
+        ("phantom", {"phantom": {"kind": "disks", "size": 16.9, "count": 4}}),
+        ("phantom", {"phantom": {"kind": "disks", "size": 32, "count": "4"}}),
+        ("phantom", {"phantom": {"kind": "disks", "size": 32, "count": 4,
+                                 "pixel_size": "1"}}),
+        ("geometry", {"geometry": {"angles": {"count": "6", "stop": np.pi}}}),
+        ("geometry", {"geometry": {"angles": {"count": 6, "stop": "3"}}}),
+        ("geometry", {"geometry": {"angles": {"list": [0.0, "1"]}}}),
+        ("geometry", {"geometry": {"angles": {"count": 6, "stop": np.pi},
+                                   "detectors": 32.0}}),
+        ("binning", {"binning": {"channels": 8.5, "energy_min": 5.0,
+                                 "energy_max": 35.0}}),
+        ("binning", {"binning": {"channels": 8, "energy_min": True,
+                                 "energy_max": 35.0}}),
+        ("dictionary", {"dictionary": {"type": "synthetic", "materials": "6"}}),
+        ("source", {"source": {"type": "flat", "photons": "100"}}),
+        ("noise", {"noise": {"poisson": False, "gaussian_percent": True}}),
+        ("noise", {"noise": {"poisson": False, "gaussian_percent": "5"}}),
+        ("seed", {"seed": 7.5}),
+        ("seed", {"seed": "7"}),
+    ], ids=["size-fractional", "count-text", "pixel_size-text", "angles-text",
+            "stop-text", "angle-list-text", "detectors-float",
+            "channels-fractional", "energy-bool", "materials-text",
+            "photons-text", "gaussian-bool", "gaussian-text", "seed-fractional",
+            "seed-text"])
+    def test_number_that_is_not_a_json_number_rejected(self, section, override):
+        with pytest.raises(FormatError, match=f"^{section} section invalid"):
+            parse_config(valid_config(**override))
+
+    @pytest.mark.parametrize("raw", [[1, 2], "config", 3, None],
+                             ids=["list", "string", "number", "null"])
+    def test_config_that_is_not_an_object_rejected(self, tmp_path, raw):
+        with pytest.raises(FormatError, match="^a config must be a JSON object"):
+            parse_config(raw)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: "
+                                              "a config must be a JSON object"):
+            load_config(path)
+
     def test_invalid_json_reports_position(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{\n  broken\n}")

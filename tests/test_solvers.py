@@ -177,9 +177,15 @@ class TestAapm:
         cfg = AapmConfig(A0=np.zeros_like(A), R0=np.zeros_like(R), max_iter=50)
         res = aapm(op, T, 0 * Y, A.shape[1], cfg)
         assert res.n_iter == 1
-        assert res.converged
+        assert res.converged and res.stop_reason == "residual"
         assert res.history[0].eps_rel == 0.0
         assert np.all(res.A == 0) and np.all(res.R == 0)
+        # both gradients vanish at A = 0, R = 0 whatever the data, so on
+        # nonzero data the run stops there too, far from fitting it
+        res = aapm(op, T, Y, A.shape[1], cfg)
+        assert res.n_iter == 1 and np.all(res.A == 0) and np.all(res.R == 0)
+        assert res.history[0].eps_abs > cfg.eps_abs_tol
+        assert res.converged and res.stop_reason == "stationary"
 
     def test_material_count_validated(self):
         op, T, A, R, U, Y = small_problem()
@@ -279,6 +285,14 @@ class TestAapm:
 
 
 class TestCjoint:
+    def test_flat_zero_spectra_on_nonpositive_data_are_stationary(self):
+        # the flat start sets F = 0 when the data sum is not positive; then
+        # the map gradient is zero and clipping undoes every spectrum step
+        op, T, A_true, R_true, Y = exact_instance()
+        res = cjoint(op, -Y, 2, CjointConfig(max_iter=50))
+        assert res.n_iter == 1 and not res.F.any()
+        assert res.converged and res.stop_reason == "stationary"
+
     def test_residual_decreases(self):
         op, T, A_true, R_true, Y = exact_instance()
         res = cjoint(op, Y, 2, CjointConfig(max_iter=100))
@@ -347,6 +361,7 @@ def test_iteration_budget_validated(solve):
     (AapmConfig, "step0", np.inf), (AapmConfig, "eps_abs_tol", -1e-4),
     (AapmConfig, "eps_rel_tol", np.nan), (CjointConfig, "max_iter", 0),
     (CjointConfig, "step0", -1.0), (CjointConfig, "tol", np.inf),
+    (AapmConfig, "max_iter", 5.5), (CjointConfig, "max_iter", True),
 ])
 def test_loop_config_rejects_bad_values(config, field, bad):
     with pytest.raises(ValueError, match=field):
@@ -362,11 +377,32 @@ def test_stall_is_not_convergence(solve, monkeypatch):
     monkeypatch.setattr(solvers, "backtracking", never_accept)
     op, T, A_true, R_true, Y = exact_instance()
     res = solve(op, T, Y, 20)
-    assert not res.converged
+    assert not res.converged and res.stop_reason == "stalled"
     assert res.n_iter == 1
     assert res.history[0].alpha == res.history[0].beta == 0.0
-    if isinstance(res, solvers.AapmResult):          # cjoint does not count them
-        assert res.step_failures == 2
+    assert res.step_failures == 2
+
+
+@pytest.mark.parametrize("solve", ALTERNATING)
+def test_budget_exhausted_is_not_convergence(solve):
+    op, T, A_true, R_true, Y = exact_instance()
+    res = solve(op, T, Y, 3)
+    assert not res.converged and res.stop_reason == "max_iter"
+    assert res.n_iter == len(res.history) == 3
+
+
+@pytest.mark.parametrize("solve", [
+    pytest.param(lambda op, T, Y: aapm(op, T, Y, 2, AapmConfig(eps_abs_tol=0.6)),
+                 id="aapm"),
+    pytest.param(lambda op, T, Y: cjoint(op, Y, 2, CjointConfig(tol=0.6)),
+                 id="cjoint"),
+])
+def test_residual_tolerance_stops_converged(solve):
+    op, T, A_true, R_true, Y = exact_instance()
+    res = solve(op, T, Y)
+    assert res.converged and res.stop_reason == "residual"
+    assert res.history[-1].eps_abs <= 0.6 and res.n_iter > 1
+    assert all(r.eps_abs > 0.6 for r in res.history[:-1])
 
 
 def test_one_failed_block_is_counted_as_int(monkeypatch):
@@ -384,7 +420,7 @@ def test_one_failed_block_is_counted_as_int(monkeypatch):
     monkeypatch.setattr(solvers, "backtracking", maps_fail)
     op, T, A_true, R_true, Y = exact_instance()
     res = aapm(op, T, Y, 2, AapmConfig(max_iter=5))
-    assert res.n_iter == 5 and not res.converged
+    assert res.n_iter == 5 and res.stop_reason == "max_iter"
     assert all(r.alpha > 0.0 and r.beta == 0.0 for r in res.history)
     assert type(res.step_failures) is int and res.step_failures == 5
     assert json.loads(json.dumps({"step_failures": res.step_failures})) == {
