@@ -71,7 +71,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> dict:
     source = cfg.source_spectrum(binning)
     noise = cfg.noise_config()
     rows = cfg.dictionary_rows(dictionary.n_materials)
-    k = cfg.channel_count(dictionary.n_materials)
+    k = cfg.channel_count(dictionary.n_materials, binning.n_channels)
     phantom_lo = cfg.phantom_map(grid)
     phantom_hi = cfg.phantom_map(grid.refine(2))
 
@@ -296,6 +296,18 @@ def _load_manifest(out_dir: Path) -> dict:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _rho_list(text: str) -> list[float]:
+    """The ``--rhos`` value: one or more comma-separated numbers."""
+    try:
+        rhos = [float(r) for r in text.split(",") if r != ""]
+    except ValueError:
+        rhos = []
+    if not rhos:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}")
+    return rhos
+
+
 # each subcommand's help text and the flags it reads
 _COMMANDS = {
     "simulate": ("generate measurement artifacts",
@@ -316,7 +328,7 @@ _FLAGS = {
     "--method": {"help": "solver: adjust, cjoint, ru, or ur"},
     "--preset": {"help": "measurement preset: full, sparse-angle, limited-view, "
                          "sparse-channel, or noisy-<percent>"},
-    "--rhos": {"default": ",".join(str(r) for r in DEFAULT_RHO_SWEEP),
+    "--rhos": {"type": _rho_list, "default": DEFAULT_RHO_SWEEP,
                "help": "comma-separated feedback weights"},
     "--max-iter": {"type": int, "help": "iteration budget for each sweep run"},
 }
@@ -372,14 +384,13 @@ def main(argv=None) -> int:
               f"ssim_avg={report['ssim_avg']:.6g}")
     elif args.command == "sweep-rho":
         out_dir = _required_out(args)
-        rhos = [float(r) for r in args.rhos.split(",") if r != ""]
-        paths = cmd_sweep_rho(out_dir, rho_list=rhos, max_iter=args.max_iter)
+        paths = cmd_sweep_rho(out_dir, rho_list=args.rhos,
+                              max_iter=args.max_iter)
         for path in paths:
             print(f"wrote {path}")
     elif args.command == "pipeline":
         cfg, out_dir = _resolve_config(args)
-        rhos = [float(r) for r in args.rhos.split(",") if r != ""]
-        report = cmd_pipeline(cfg, out_dir, rho_list=rhos)
+        report = cmd_pipeline(cfg, out_dir, rho_list=args.rhos)
         print(f"pipeline finished: ssim_avg={report['ssim_avg']:.6g} "
               f"({out_dir})")
     return 0

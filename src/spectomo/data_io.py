@@ -8,10 +8,11 @@ regardless of locale.
 
 from __future__ import annotations
 
+import copy
 import json
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,13 +25,15 @@ from .tomo import Grid2D, ParallelGeometry, equispaced_angles
 
 MATRIX_MAGIC = b"ADJM"
 CONFIG_VERSION = 1
-# the method_params each method accepts: fields of its solver config
+# the method_params each method accepts, fields of its solver config, and
+# the JSON kind of each (see `_value`)
 METHOD_PARAMS = {
-    "adjust": ("rho", "max_iter", "eps_abs_tol", "eps_rel_tol", "random_init",
-               "step0"),
-    "cjoint": ("max_iter", "tol", "step0"),
-    **dict.fromkeys(("ru", "ur"), ("tikhonov_lambda", "cg_max_iter", "cg_tol",
-                                   "nmf_iters", "nmf_restarts")),
+    "adjust": {"rho": float, "max_iter": int, "eps_abs_tol": float,
+               "eps_rel_tol": float, "random_init": bool, "step0": float},
+    "cjoint": {"max_iter": int, "tol": float, "step0": float},
+    **dict.fromkeys(("ru", "ur"), {"tikhonov_lambda": float, "cg_max_iter": int,
+                                   "cg_tol": float, "nmf_iters": int,
+                                   "nmf_restarts": int}),
 }
 # each phantom kind is the name of its generator in `phantoms`, mapped to
 # the key of the phantom section that holds its material count
@@ -204,98 +207,96 @@ def export_pgm16(path, image: np.ndarray, vmin: float, vmax: float) -> None:
 class RunConfig:
     """Validated experiment description; see docs/formats.md for the schema.
 
-    Each section is built by one method below.  `simulate` calls them, and
-    `parse_config` calls all but `phantom_map` to check the sections."""
+    `raw` is the one copy of the config.  Each section is built from it by
+    one method below.  `simulate` calls them, and `parse_config` calls all
+    but `phantom_map` to check the sections."""
 
-    phantom: dict
-    geometry: dict
-    binning: dict
-    dictionary: dict
-    source: dict
-    noise: dict
     method: str
     method_params: dict
     output_dir: str
     seed: int
-    raw: dict = field(default_factory=dict)
+    raw: dict
+
+    def section(self, name: str) -> dict:
+        """The config section `name`, which must be a JSON object."""
+        return _value(self.raw.get(name, {}), name, dict)
 
     def grid(self) -> Grid2D:
-        n = _number(self.phantom["size"], "size", integral=True)
-        return Grid2D(n, n, _number(self.phantom.get("pixel_size", 1.0),
-                                    "pixel_size"))
+        phantom = self.section("phantom")
+        n = _value(phantom["size"], "size", int)
+        return Grid2D(n, n, _value(phantom.get("pixel_size", 1.0), "pixel_size"))
 
     def parallel_geometry(self) -> ParallelGeometry:
-        spec = self.geometry
-        ang = spec["angles"]
+        spec = self.section("geometry")
+        ang = _value(spec["angles"], "angles", dict)
         if "list" in ang:
-            angles = np.array([_number(a, "angle") for a in ang["list"]],
+            angles = np.array([_value(a, "angle") for a in ang["list"]],
                               dtype=np.float64)
             if angles.size == 0:
                 raise ValueError("geometry.angles.list must be nonempty")
             if not np.all((angles >= 0) & (angles < 2 * np.pi)):
                 raise ValueError("explicit angles must lie in [0, 2*pi)")
         else:
-            start = _number(ang.get("start", 0.0), "start")
-            stop = _number(ang["stop"], "stop")
+            start = _value(ang.get("start", 0.0), "start")
+            stop = _value(ang["stop"], "stop")
             if not 0.0 <= start < stop <= 2 * np.pi:
                 raise ValueError(f"angle range [{start}, {stop}) must be a "
                                  "subset of [0, 2*pi)")
-            angles = equispaced_angles(
-                _number(ang["count"], "count", integral=True), start, stop)
-        n_det = _number(spec.get("detectors", self.phantom["size"]),
-                        "detectors", integral=True)
-        spacing = _number(spec.get("detector_spacing", 1.0), "detector_spacing")
+            angles = equispaced_angles(_value(ang["count"], "count", int),
+                                       start, stop)
+        n_det = _value(spec.get("detectors", self.section("phantom")["size"]),
+                       "detectors", int)
+        spacing = _value(spec.get("detector_spacing", 1.0), "detector_spacing")
         return ParallelGeometry(angles=angles, n_det=n_det, det_spacing=spacing)
 
     def channel_binning(self) -> ChannelBinning:
-        b = self.binning
-        return ChannelBinning.equidistant(
-            _number(b["channels"], "channels", integral=True),
-            _number(b["energy_min"], "energy_min"),
-            _number(b["energy_max"], "energy_max"))
+        b = self.section("binning")
+        return ChannelBinning.equidistant(_value(b["channels"], "channels", int),
+                                          _value(b["energy_min"], "energy_min"),
+                                          _value(b["energy_max"], "energy_max"))
 
     def n_phantom_materials(self) -> int:
-        kind = self.phantom["kind"]
+        phantom = self.section("phantom")
+        kind = _value(phantom["kind"], "kind", str)
         if kind not in PHANTOM_KINDS:
             raise ValueError(f"unknown phantom kind {kind!r}; "
                              f"choose from {tuple(PHANTOM_KINDS)}")
         key = PHANTOM_KINDS[kind]
-        return _number(self.phantom[key], key, integral=True)
+        return _value(phantom[key], key, int)
 
     def phantom_map(self, grid: Grid2D) -> phantoms.MaterialMap:
         """Render the phantom on `grid`; the generator checks its own limits."""
-        generate = getattr(phantoms, self.phantom["kind"])
+        generate = getattr(phantoms, self.section("phantom")["kind"])
         return generate(grid.nx, self.n_phantom_materials(), grid=grid)
 
     def spectral_dictionary(self, binning: ChannelBinning) -> SpectralDictionary:
-        spec = self.dictionary
+        spec = self.section("dictionary")
         if spec["type"] == "synthetic":
             return spectral.kedge_dictionary(
-                _number(spec["materials"], "materials", integral=True), binning,
-                peak=_number(spec.get("peak", 0.1), "peak"),
-                edge_jump=_number(spec.get("edge_jump", 6.0), "edge_jump"))
+                _value(spec["materials"], "materials", int), binning,
+                peak=_value(spec.get("peak", 0.1), "peak"),
+                edge_jump=_value(spec.get("edge_jump", 6.0), "edge_jump"))
         if spec["type"] == "csv":
             return spectral.bin_attenuation(load_attenuation_csv(spec["path"]),
                                             binning)
         raise ValueError(f"unknown dictionary type {spec['type']!r}")
 
     def source_spectrum(self, binning: ChannelBinning) -> SourceSpectrum:
-        spec = self.source
+        spec = self.section("source")
         if spec["type"] == "flat":
             return SourceSpectrum.flat(
-                binning.n_channels, _number(spec.get("photons", 1e4), "photons"))
+                binning.n_channels, _value(spec.get("photons", 1e4), "photons"))
         if spec["type"] == "csv":
-            return source_from_csv(
-                spec["path"], binning,
-                scale=_number(spec.get("scale", 1.0), "scale"))
+            return source_from_csv(spec["path"], binning,
+                                   scale=_value(spec.get("scale", 1.0), "scale"))
         raise ValueError(f"unknown source type {spec['type']!r}")
 
     def noise_config(self) -> NoiseConfig:
-        poisson = self.noise.get("poisson", False)
-        if not isinstance(poisson, bool):
-            raise TypeError(f"poisson must be true or false, got {poisson!r}")
-        return NoiseConfig(poisson=poisson, gaussian_percent=_number(
-            self.noise.get("gaussian_percent", 0.0), "gaussian_percent"))
+        noise = self.section("noise")
+        return NoiseConfig(
+            poisson=_value(noise.get("poisson", False), "poisson", bool),
+            gaussian_percent=_value(noise.get("gaussian_percent", 0.0),
+                                    "gaussian_percent"))
 
     def dictionary_rows(self, n_dict: int) -> np.ndarray:
         """The dictionary row of each phantom material: `material_rows`, or
@@ -306,7 +307,7 @@ class RunConfig:
                              f"only {n_dict} entries")
         if self.raw.get("material_rows") is None:
             return np.round(np.linspace(0, n_dict - 1, m)).astype(int)
-        rows = np.array([_number(r, "each row", integral=True)
+        rows = np.array([_value(r, "each row", int)
                          for r in self.raw["material_rows"]], dtype=int)
         if rows.size != m or len(set(rows.tolist())) != m:
             raise ValueError("must list one distinct dictionary row per "
@@ -316,42 +317,58 @@ class RunConfig:
                              f"got {rows.tolist()}")
         return rows
 
-    def channel_count(self, n_dict: int) -> int | None:
-        """How many channels `simulate` keeps by `channel_selection`, or
-        None to keep them all; ``"dictionary"`` means one per entry."""
-        selection = self.raw.get("channel_selection")
-        if selection is None:
+    def channel_count(self, n_dict: int, n_channels: int) -> int | None:
+        """How many of the `n_channels` channels `simulate` keeps by
+        `channel_selection`, or None to keep them all; ``"dictionary"``
+        means one per dictionary entry."""
+        if self.raw.get("channel_selection") is None:
             return None
-        count = selection.get("count") if isinstance(selection, dict) else None
+        count = self.section("channel_selection").get("count")
         k = n_dict if count == "dictionary" else count
-        channels = int(self.binning["channels"])
-        if not (type(k) is int and 1 <= k <= channels):
-            raise ValueError(f"count must be an integer in [1, {channels}] or "
-                             "'dictionary' (one channel per dictionary entry, "
-                             f"{n_dict} here), got {count!r}")
+        if not (type(k) is int and 1 <= k <= n_channels):
+            raise ValueError(f"count must be an integer in [1, {n_channels}] "
+                             "or 'dictionary' (one channel per dictionary "
+                             f"entry, {n_dict} here), got {count!r}")
         return k
 
 
-def _number(value, name: str, integral: bool = False):
-    """`value` as a float, or as an int where `integral`; anything but a
-    JSON number (a bool, a string, a fraction where a count is due) raises
+# what `_value` calls each JSON kind in its errors
+_KIND_NAMES = {float: "a number", int: "an integer", bool: "true or false",
+               str: "a string", dict: "a JSON object"}
+
+
+def _value(value, name: str, kind: type = float):
+    """`value` if it is a JSON value of `kind` (`float`, `int`, `bool`,
+    `str` or `dict`), a number as a float where `kind` is `float`; anything
+    else (a bool as a number, a string or a fraction as a count) raises
     `TypeError`."""
-    kinds, kind = (int, "an integer") if integral else ((int, float), "a number")
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        raise TypeError(f"{name} must be {kind}, got {value!r}")
-    return value if integral else float(value)
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        raise TypeError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return float(value) if kind is float else value
+
+
+def _seed(value) -> int:
+    seed = _value(value, "seed", int)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return seed
 
 
 def method_config(method: str, params: dict, seed: int = 0, callback=None):
-    """The solver config of `method` built from its `method_params`; an
-    unknown name or a value the config rejects raises `ValueError`."""
+    """The solver config of `method` built from its `method_params`, each
+    read as the JSON kind `METHOD_PARAMS` gives it; an unknown name or a
+    value of another kind or one the config rejects raises `ValueError` or
+    `TypeError`."""
     if method not in METHOD_PARAMS:
         raise ValueError(f"unknown method {method!r}; "
                          f"choose from {tuple(METHOD_PARAMS)}")
-    unknown = set(params) - set(METHOD_PARAMS[method])
+    kinds = METHOD_PARAMS[method]
+    unknown = set(params) - set(kinds)
     if unknown:
         raise ValueError(f"unknown method parameters: {sorted(unknown)}; "
-                         f"supported: {sorted(METHOD_PARAMS[method])}")
+                         f"supported: {sorted(kinds)}")
+    params = {name: _value(v, name, kinds[name]) for name, v in params.items()}
     if method == "adjust":
         return solvers.AapmConfig(seed=seed, callback=callback, **params)
     if method == "cjoint":
@@ -374,12 +391,14 @@ def load_config(path, edit=None) -> RunConfig:
 
 
 def parse_config(raw: dict, base_dir: Path | str = ".") -> RunConfig:
-    """Check a config and return it as a `RunConfig`.  Every section the
-    commands build is built here once, so a bad one fails before anything
-    is simulated or written, with a `FormatError` that starts with its name;
-    only the phantom generator's own limits wait for `simulate`."""
-    base_dir = Path(base_dir)
+    """Check a config and return it as a `RunConfig` that holds its own copy
+    of it, with the CSV paths resolved against `base_dir`.  Every value is
+    read through `_value`, and every section the commands build is built
+    here once, so a bad one fails before anything is simulated or written,
+    with a `FormatError` that starts with its name; only the phantom
+    generator's own limits wait for `simulate`."""
     _check_object(raw)
+    raw = copy.deepcopy(raw)
     version = raw.get("config_version")
     if version != CONFIG_VERSION:
         raise FormatError(f"unsupported config_version {version!r}, "
@@ -389,31 +408,17 @@ def parse_config(raw: dict, base_dir: Path | str = ".") -> RunConfig:
         if key not in raw:
             raise FormatError(f"config missing required section {key!r}")
 
-    raw = dict(raw)
-    for section in ("dictionary", "source"):
-        spec = dict(raw[section])
-        if spec.get("type") == "csv":
-            csv_path = Path(spec["path"])
-            if not csv_path.is_absolute():
-                csv_path = base_dir / csv_path
-            if not csv_path.exists():
-                raise FormatError(f"{section} file does not exist: {csv_path}")
-            spec["path"] = str(csv_path)
-        raw[section] = spec
-
     cfg = RunConfig(
-        phantom=dict(raw["phantom"]),
-        geometry=dict(raw["geometry"]),
-        binning=dict(raw["binning"]),
-        dictionary=raw["dictionary"],
-        source=raw["source"],
-        noise=dict(raw.get("noise", {})),
-        method=raw["method"],
-        method_params=raw.get("method_params", {}),
-        output_dir=str(raw["output_dir"]),
-        seed=_build("seed", _number, raw.get("seed", 0), "seed", True),
+        method=_build("method", _value, raw["method"], "method", str),
+        method_params=_build("method_params", _value,
+                             raw.get("method_params", {}), "method_params", dict),
+        output_dir=_build("output_dir", _value, raw["output_dir"],
+                          "output_dir", str),
+        seed=_build("seed", _seed, raw.get("seed", 0)),
         raw=raw,
     )
+    for section in ("dictionary", "source"):
+        _build(section, _resolve_csv_path, cfg, section, base_dir)
     _build("phantom", cfg.grid)
     _build("phantom", cfg.n_phantom_materials)
     _build("geometry", cfg.parallel_geometry)
@@ -422,10 +427,21 @@ def parse_config(raw: dict, base_dir: Path | str = ".") -> RunConfig:
     _build("source", cfg.source_spectrum, binning)
     _build("noise", cfg.noise_config)
     _build("material_rows", cfg.dictionary_rows, n_dict)
-    _build("channel_selection", cfg.channel_count, n_dict)
+    _build("channel_selection", cfg.channel_count, n_dict, binning.n_channels)
     _build("method", method_config, cfg.method, {})
     _build("method_params", method_config, cfg.method, cfg.method_params)
     return cfg
+
+
+def _resolve_csv_path(cfg: RunConfig, section: str, base_dir) -> None:
+    """Make the ``path`` of a ``csv`` section absolute or relative to the
+    working directory, in place in `cfg.raw`; the file must exist."""
+    spec = cfg.section(section)
+    if spec.get("type") == "csv":
+        csv_path = Path(base_dir) / _value(spec["path"], "path", str)
+        if not csv_path.exists():
+            raise ValueError(f"file does not exist: {csv_path}")
+        spec["path"] = str(csv_path)
 
 
 def _check_object(raw, where: str = "") -> None:

@@ -435,8 +435,9 @@ class TwoStepConfig:
         if not self.cg_tol > 0:
             raise ValueError(f"cg_tol must be positive, got {self.cg_tol}")
         for name in ("cg_max_iter", "nmf_iters", "nmf_restarts"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be >= 1 and an int, got {value!r}")
 
 
 def tikhonov_cg(op: TomoOperator, B: np.ndarray, lam: float,

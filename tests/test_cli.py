@@ -426,6 +426,22 @@ class TestMainEntry:
             cli.main(["simulate", "--bogus", "x"])
         assert exc.value.code != 0
 
+    @pytest.mark.parametrize("command", ["sweep-rho", "pipeline"])
+    @pytest.mark.parametrize("rhos", ["0,x", "", ","],
+                             ids=["text", "empty", "comma"])
+    def test_bad_rho_list_is_usage_error(self, run_dir, capsys, command, rhos):
+        cfg_path = run_dir.parent / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            tiny_config(output_dir=str(run_dir.parent / "out"))))
+        where = (["--out", str(run_dir)] if command == "sweep-rho"
+                 else ["--config", str(cfg_path)])
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, *where, "--rhos", rhos])
+        assert exc.value.code == 2
+        assert "--rhos" in capsys.readouterr().err
+        assert not (run_dir / "sweep").exists()
+        assert not (run_dir.parent / "out").exists()
+
     def test_help_lists_subcommands(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["--help"])

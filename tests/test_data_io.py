@@ -298,16 +298,20 @@ class TestRunConfig:
         assert cfg.raw["channel_selection"] == {"count": count}
 
     def test_method_table_matches_configs_and_docs(self):
-        for method, names in METHOD_PARAMS.items():
+        for method, kinds in METHOD_PARAMS.items():
             config = method_config(method, {})
-            assert set(names) <= {f.name for f in dataclasses.fields(config)}
+            assert set(kinds) <= {f.name for f in dataclasses.fields(config)}
+            for name, kind in kinds.items():
+                assert type(getattr(config, name)) is kind, (method, name)
         doc = (Path(__file__).parents[1] / "docs" / "formats.md").read_text()
+        words = {float: "number", int: "integer", bool: "boolean"}
         documented = {}
         for label, body in re.findall(r"^  - ([\w /]+): (.*(?:\n    .*)*)", doc,
                                       flags=re.M):
             for method in label.split(" / "):
-                documented[method] = set(re.findall(r"`(\w+)`", body))
-        assert documented == {m: set(n) for m, n in METHOD_PARAMS.items()}
+                documented[method] = dict(re.findall(r"`(\w+)` \((\w+)\)", body))
+        assert documented == {m: {n: words[k] for n, k in kinds.items()}
+                              for m, kinds in METHOD_PARAMS.items()}
 
     @pytest.mark.parametrize("section,override", [
         ("noise", {"noise": {"poisson": False, "gaussian_percent": float("nan")}}),
@@ -316,39 +320,69 @@ class TestRunConfig:
         ("noise", {"noise": {"poisson": 1}}),
         ("material_rows", {"material_rows": [0.9, 2.7, 3, 4]}),
         ("material_rows", {"material_rows": [0, 1, 2.0, 3]}),
+        ("phantom", {"phantom": [1]}),
+        ("noise", {"noise": 3}),
+        ("dictionary", {"dictionary": "x"}),
+        ("geometry", {"geometry": {"angles": [0.0, 1.0]}}),
+        ("method_params", {"method_params": {"random_init": "no"}}),
+        ("output_dir", {"output_dir": None}),
     ], ids=["gaussian-nan", "gaussian-inf", "poisson-text", "poisson-int",
-            "rows-fractional", "rows-float"])
+            "rows-fractional", "rows-float", "phantom-list", "noise-number",
+            "dictionary-text", "angles-list", "random_init-text",
+            "output_dir-null"])
     def test_loosely_typed_value_rejected(self, section, override):
         with pytest.raises(FormatError, match=f"^{section} section invalid"):
             parse_config(valid_config(**override))
 
-    @pytest.mark.parametrize("section,override", [
-        ("phantom", {"phantom": {"kind": "disks", "size": 16.9, "count": 4}}),
-        ("phantom", {"phantom": {"kind": "disks", "size": 32, "count": "4"}}),
-        ("phantom", {"phantom": {"kind": "disks", "size": 32, "count": 4,
-                                 "pixel_size": "1"}}),
-        ("geometry", {"geometry": {"angles": {"count": "6", "stop": np.pi}}}),
-        ("geometry", {"geometry": {"angles": {"count": 6, "stop": "3"}}}),
-        ("geometry", {"geometry": {"angles": {"list": [0.0, "1"]}}}),
-        ("geometry", {"geometry": {"angles": {"count": 6, "stop": np.pi},
-                                   "detectors": 32.0}}),
-        ("binning", {"binning": {"channels": 8.5, "energy_min": 5.0,
-                                 "energy_max": 35.0}}),
-        ("binning", {"binning": {"channels": 8, "energy_min": True,
-                                 "energy_max": 35.0}}),
-        ("dictionary", {"dictionary": {"type": "synthetic", "materials": "6"}}),
-        ("source", {"source": {"type": "flat", "photons": "100"}}),
-        ("noise", {"noise": {"poisson": False, "gaussian_percent": True}}),
-        ("noise", {"noise": {"poisson": False, "gaussian_percent": "5"}}),
-        ("seed", {"seed": 7.5}),
-        ("seed", {"seed": "7"}),
+    @pytest.mark.parametrize("section,key,override", [
+        ("phantom", "size", {"phantom": {"kind": "disks", "size": 16.9,
+                                         "count": 4}}),
+        ("phantom", "count", {"phantom": {"kind": "disks", "size": 32,
+                                          "count": "4"}}),
+        ("phantom", "pixel_size", {"phantom": {"kind": "disks", "size": 32,
+                                               "count": 4, "pixel_size": "1"}}),
+        ("geometry", "count", {"geometry": {"angles": {"count": "6",
+                                                       "stop": np.pi}}}),
+        ("geometry", "stop", {"geometry": {"angles": {"count": 6, "stop": "3"}}}),
+        ("geometry", "angle", {"geometry": {"angles": {"list": [0.0, "1"]}}}),
+        ("geometry", "detectors", {"geometry": {"angles": {"count": 6,
+                                                           "stop": np.pi},
+                                                "detectors": 32.0}}),
+        ("binning", "channels", {"binning": {"channels": 8.5, "energy_min": 5.0,
+                                             "energy_max": 35.0}}),
+        ("binning", "energy_min", {"binning": {"channels": 8, "energy_min": True,
+                                               "energy_max": 35.0}}),
+        ("dictionary", "materials", {"dictionary": {"type": "synthetic",
+                                                    "materials": "6"}}),
+        ("source", "photons", {"source": {"type": "flat", "photons": "100"}}),
+        ("noise", "gaussian_percent", {"noise": {"poisson": False,
+                                                 "gaussian_percent": True}}),
+        ("noise", "gaussian_percent", {"noise": {"poisson": False,
+                                                 "gaussian_percent": "5"}}),
+        ("seed", "seed", {"seed": 7.5}),
+        ("seed", "seed", {"seed": "7"}),
+        ("seed", "seed", {"seed": -1}),
+        ("method_params", "eps_abs_tol", {"method_params": {"eps_abs_tol": True}}),
+        ("method_params", "nmf_restarts", {"method": "ru",
+                                           "method_params": {"nmf_restarts": True}}),
+        ("method_params", "nmf_iters", {"method": "ru",
+                                        "method_params": {"nmf_iters": 2.5}}),
+        ("method_params", "cg_max_iter", {"method": "ru",
+                                          "method_params": {"cg_max_iter": 2.5}}),
+        ("method_params", "step0", {"method_params": {"step0": "1"}}),
+        ("method_params", "tol", {"method": "cjoint",
+                                  "method_params": {"tol": None}}),
     ], ids=["size-fractional", "count-text", "pixel_size-text", "angles-text",
             "stop-text", "angle-list-text", "detectors-float",
             "channels-fractional", "energy-bool", "materials-text",
             "photons-text", "gaussian-bool", "gaussian-text", "seed-fractional",
-            "seed-text"])
-    def test_number_that_is_not_a_json_number_rejected(self, section, override):
-        with pytest.raises(FormatError, match=f"^{section} section invalid"):
+            "seed-text", "seed-negative", "eps_abs_tol-bool",
+            "nmf_restarts-bool", "nmf_iters-fractional",
+            "cg_max_iter-fractional", "step0-text", "tol-null"])
+    def test_number_that_is_not_a_json_number_rejected(self, section, key,
+                                                        override):
+        with pytest.raises(FormatError,
+                           match=f"^{section} section invalid: {key} must be"):
             parse_config(valid_config(**override))
 
     @pytest.mark.parametrize("raw", [[1, 2], "config", 3, None],

@@ -530,6 +530,7 @@ class TestTwoStep:
         ("tikhonov_lambda", -1e-3), ("tikhonov_lambda", np.inf),
         ("tikhonov_lambda", np.nan), ("cg_max_iter", 0), ("cg_tol", 0.0),
         ("cg_tol", -1e-6), ("nmf_iters", 0), ("nmf_restarts", 0),
+        ("cg_max_iter", 2.5), ("nmf_iters", 2.5), ("nmf_restarts", True),
     ])
     def test_config_rejects_bad_values_before_any_work(self, field, bad,
                                                        monkeypatch):
