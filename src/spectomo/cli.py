@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import data_io, evaluation, solvers, spectral
-from .data_io import RunConfig, load_config, parse_config
-from .tomo import TomoOperator
+from .data_io import RunConfig, load_config
+from .tomo import Grid2D, ParallelGeometry, TomoOperator
 
 PRESETS = ("full", "sparse-angle", "limited-view", "sparse-channel")
 DEFAULT_RHO_SWEEP = (0.0, 0.01, 0.1)
@@ -133,17 +133,13 @@ def cmd_reconstruct(out_dir: Path, method: str | None = None,
     ``reconstruct_meta.json`` with the solve time and why the loop stopped."""
     out_dir = Path(out_dir)
     manifest = _load_manifest(out_dir)
-    cfg = parse_config(manifest["config"])
-    method = method or cfg.method
-    # configured parameters only apply to the configured method
-    params = dict(cfg.method_params) if method == cfg.method else {}
-    if method_params:
-        params.update(method_params)
+    method = method or manifest["config"]["method"]
+    params = {**_configured_params(manifest, method), **(method_params or {})}
     data_io.method_config(method, params)         # fail before any work
     if seed is None:
         seed = manifest["seed"]
 
-    problem = _load_problem(out_dir, manifest, cfg)
+    problem = _load_problem(out_dir, manifest)
     method_dir = out_dir / method
     method_dir.mkdir(exist_ok=True)
     t0 = time.perf_counter()
@@ -169,8 +165,7 @@ def cmd_evaluate(out_dir: Path, method: str | None = None) -> dict:
     the results CSV, per-material images, recovered spectra, and a report."""
     out_dir = Path(out_dir)
     manifest = _load_manifest(out_dir)
-    cfg = parse_config(manifest["config"])
-    method = method or cfg.method
+    method = method or manifest["config"]["method"]
     method_dir = out_dir / method
     if not (method_dir / "maps.adjm").exists():
         raise FileNotFoundError(f"no reconstruction for {method!r} in {out_dir}")
@@ -199,7 +194,7 @@ def cmd_evaluate(out_dir: Path, method: str | None = None) -> dict:
     meta_path = method_dir / "reconstruct_meta.json"
     solve_seconds = None
     if meta_path.exists():
-        solve_seconds = json.loads(meta_path.read_text())["seconds"]
+        solve_seconds = data_io.read_json(meta_path)["seconds"]
 
     psnr, psnr_avg = data_io.capped_psnr(match)
     report = {
@@ -232,14 +227,13 @@ def cmd_sweep_rho(out_dir: Path, rho_list=DEFAULT_RHO_SWEEP,
     one history CSV per value, directly comparable across the sweep."""
     out_dir = Path(out_dir)
     manifest = _load_manifest(out_dir)
-    cfg = parse_config(manifest["config"])
-    params = dict(cfg.method_params) if cfg.method == "adjust" else {}
+    params = _configured_params(manifest, "adjust")
     if max_iter is not None:
         params["max_iter"] = max_iter
     for rho in rho_list:                          # fail before any work
         data_io.method_config("adjust", {**params, "rho": rho})
 
-    problem = _load_problem(out_dir, manifest, cfg)
+    problem = _load_problem(out_dir, manifest)
     sweep_dir = out_dir / "sweep"
     sweep_dir.mkdir(exist_ok=True)
     paths = []
@@ -254,16 +248,26 @@ def cmd_pipeline(cfg: RunConfig, out_dir: Path,
                  rho_list=DEFAULT_RHO_SWEEP) -> dict:
     """simulate -> reconstruct -> evaluate -> sweep-rho, in sequence."""
     cmd_simulate(cfg, out_dir)
-    cmd_reconstruct(out_dir, method=cfg.method)
-    report = cmd_evaluate(out_dir, method=cfg.method)
+    cmd_reconstruct(out_dir)
+    report = cmd_evaluate(out_dir)
     cmd_sweep_rho(out_dir, rho_list=rho_list)
     return report
 
 
-def _load_problem(out_dir: Path, manifest: dict, cfg: RunConfig):
-    """The operator, data, dictionary and material count of a simulated run."""
-    files = manifest["files"]
-    return (TomoOperator(cfg.grid(), cfg.parallel_geometry()),
+def _configured_params(manifest: dict, method: str) -> dict:
+    """The configured `method_params` if `method` is the configured method:
+    they apply to no other."""
+    config = manifest["config"]
+    return dict(config.get("method_params", {})) if method == config["method"] else {}
+
+
+def _load_problem(out_dir: Path, manifest: dict):
+    """The operator, data, dictionary and material count of a simulated run,
+    read from its manifest and files alone."""
+    files, g = manifest["files"], manifest["grid"]
+    geometry = ParallelGeometry(angles=manifest["angles"], n_det=manifest["n_det"],
+                                det_spacing=manifest["det_spacing"])
+    return (TomoOperator(Grid2D(g["nx"], g["ny"], g["pixel_size"]), geometry),
             data_io.load_matrix(out_dir / files["sinogram"]),
             data_io.load_matrix(out_dir / files["dictionary"]),
             manifest["n_materials"])
@@ -289,7 +293,7 @@ def _load_manifest(out_dir: Path) -> dict:
     if not path.exists():
         raise FileNotFoundError(
             f"{path} not found; run `spectomo simulate` first")
-    return json.loads(path.read_text(encoding="utf-8"))
+    return data_io.read_json(path)
 
 
 # ---------------------------------------------------------------------------
@@ -365,34 +369,36 @@ def main(argv=None) -> int:
             p.add_argument(flag, **_FLAGS[flag])
 
     args = parser.parse_args(argv)
-
-    if args.command == "simulate":
-        cfg, out_dir = _resolve_config(args)
-        manifest = cmd_simulate(cfg, out_dir)
-        print(f"simulated {manifest['files']['sinogram']} and ground truth "
-              f"in {out_dir}")
-    elif args.command == "reconstruct":
-        out_dir = _required_out(args)
-        method_dir = cmd_reconstruct(out_dir, method=args.method,
-                                     seed=args.seed)
-        print(f"reconstruction written to {method_dir}")
-    elif args.command == "evaluate":
-        out_dir = _required_out(args)
-        report = cmd_evaluate(out_dir, method=args.method)
-        print(f"{report['method']}: mse_avg={report['mse_avg']:.6g} "
-              f"psnr_avg={report['psnr_avg']:.4g} "
-              f"ssim_avg={report['ssim_avg']:.6g}")
-    elif args.command == "sweep-rho":
-        out_dir = _required_out(args)
-        paths = cmd_sweep_rho(out_dir, rho_list=args.rhos,
-                              max_iter=args.max_iter)
-        for path in paths:
-            print(f"wrote {path}")
-    elif args.command == "pipeline":
-        cfg, out_dir = _resolve_config(args)
-        report = cmd_pipeline(cfg, out_dir, rho_list=args.rhos)
-        print(f"pipeline finished: ssim_avg={report['ssim_avg']:.6g} "
-              f"({out_dir})")
+    try:
+        if args.command == "simulate":
+            cfg, out_dir = _resolve_config(args)
+            manifest = cmd_simulate(cfg, out_dir)
+            print(f"simulated {manifest['files']['sinogram']} and ground truth "
+                  f"in {out_dir}")
+        elif args.command == "reconstruct":
+            out_dir = _required_out(args)
+            method_dir = cmd_reconstruct(out_dir, method=args.method,
+                                         seed=args.seed)
+            print(f"reconstruction written to {method_dir}")
+        elif args.command == "evaluate":
+            out_dir = _required_out(args)
+            report = cmd_evaluate(out_dir, method=args.method)
+            print(f"{report['method']}: mse_avg={report['mse_avg']:.6g} "
+                  f"psnr_avg={report['psnr_avg']:.4g} "
+                  f"ssim_avg={report['ssim_avg']:.6g}")
+        elif args.command == "sweep-rho":
+            out_dir = _required_out(args)
+            paths = cmd_sweep_rho(out_dir, rho_list=args.rhos,
+                                  max_iter=args.max_iter)
+            for path in paths:
+                print(f"wrote {path}")
+        elif args.command == "pipeline":
+            cfg, out_dir = _resolve_config(args)
+            report = cmd_pipeline(cfg, out_dir, rho_list=args.rhos)
+            print(f"pipeline finished: ssim_avg={report['ssim_avg']:.6g} "
+                  f"({out_dir})")
+    except (data_io.FormatError, FileNotFoundError) as exc:
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
     return 0
 
 

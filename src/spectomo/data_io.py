@@ -209,10 +209,12 @@ class RunConfig:
 
     `raw` is the one copy of the config.  Each section is built from it by
     one method below.  `simulate` calls them, and `parse_config` calls all
-    but `phantom_map` to check the sections."""
+    but `phantom_map` to check the sections.  The commands after `simulate`
+    never see a `RunConfig`: they read the run directory, whose manifest
+    records the geometry `simulate` used and keeps `raw` for the method and
+    its `method_params`."""
 
     method: str
-    method_params: dict
     output_dir: str
     seed: int
     raw: dict
@@ -376,14 +378,20 @@ def method_config(method: str, params: dict, seed: int = 0, callback=None):
     return solvers.TwoStepConfig(seed=seed, **params)
 
 
+def read_json(path):
+    """The JSON value in the file at `path`; text that is not JSON raises a
+    `FormatError` naming the file and the line."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
+
+
 def load_config(path, edit=None) -> RunConfig:
     """Read and check a JSON config file; `edit`, if given, rewrites the
     raw dict before the check (the CLI's preset and flag overrides)."""
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
+    raw = read_json(path)
     _check_object(raw, f"{path}: ")
     if edit is not None:
         raw = edit(raw)
@@ -410,8 +418,6 @@ def parse_config(raw: dict, base_dir: Path | str = ".") -> RunConfig:
 
     cfg = RunConfig(
         method=_build("method", _value, raw["method"], "method", str),
-        method_params=_build("method_params", _value,
-                             raw.get("method_params", {}), "method_params", dict),
         output_dir=_build("output_dir", _value, raw["output_dir"],
                           "output_dir", str),
         seed=_build("seed", _seed, raw.get("seed", 0)),
@@ -429,7 +435,9 @@ def parse_config(raw: dict, base_dir: Path | str = ".") -> RunConfig:
     _build("material_rows", cfg.dictionary_rows, n_dict)
     _build("channel_selection", cfg.channel_count, n_dict, binning.n_channels)
     _build("method", method_config, cfg.method, {})
-    _build("method_params", method_config, cfg.method, cfg.method_params)
+    params = _build("method_params", _value, raw.get("method_params", {}),
+                    "method_params", dict)
+    _build("method_params", method_config, cfg.method, params)
     return cfg
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spectomo import cli, data_io, evaluation, projections, solvers
+from spectomo import cli, data_io, evaluation, projections, solvers, spectral
 from spectomo.data_io import parse_config
 from spectomo.tomo import TomoOperator
 
@@ -29,6 +29,17 @@ def tiny_config(**overrides):
     }
     raw.update(overrides)
     return raw
+
+
+def assert_error_line(capsys, argv, message):
+    """`cli.main(argv)` exits with status 2 and writes one line to stderr,
+    the error whose text starts with the regular expression `message`."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert re.match(f"spectomo: error: {message}", err), err
 
 
 @pytest.fixture()
@@ -163,6 +174,16 @@ class TestReconstructEvaluate:
     def test_evaluate_without_reconstruction_fails(self, run_dir):
         with pytest.raises(FileNotFoundError, match="no reconstruction"):
             cli.cmd_evaluate(run_dir, method="ur")
+
+    def test_malformed_meta_names_file_and_line(self, run_dir):
+        method_dir = cli.cmd_reconstruct(run_dir, method="ru",
+                                         method_params={"nmf_restarts": 1,
+                                                        "nmf_iters": 5})
+        path = method_dir / "reconstruct_meta.json"
+        path.write_text('{\n  "seconds": }')
+        with pytest.raises(data_io.FormatError,
+                           match=f"^{re.escape(str(path))}:2: invalid JSON"):
+            cli.cmd_evaluate(run_dir, method="ru")
 
     def test_perfect_reconstruction_scores_one(self, run_dir):
         gt = data_io.load_matrix(run_dir / "ground_truth.adjm")
@@ -301,6 +322,64 @@ class TestSweepRho:
         assert all(b <= a for a, b in zip(objs[:-1], objs[1:]))
 
 
+class TestRunDirectory:
+    """The later commands read the run directory `simulate` wrote, never the
+    config again."""
+
+    @pytest.mark.parametrize("geometry,preset", [
+        ({"angles": {"list": [0.0, 0.4, 1.3, 2.9, 4.0]}, "detectors": 30,
+          "detector_spacing": 0.7}, None),
+        (None, "limited-view"),
+    ], ids=["explicit-angles", "limited-view"])
+    def test_operator_comes_from_the_manifest(self, tmp_path, geometry, preset):
+        raw = tiny_config()
+        raw["phantom"]["pixel_size"] = 0.3
+        if geometry is not None:
+            raw["geometry"] = geometry
+        if preset is not None:
+            raw = cli.apply_preset(raw, preset)
+        cfg = parse_config(raw)
+        manifest = cli.cmd_simulate(cfg, tmp_path / "run")
+        op = cli._load_problem(tmp_path / "run", manifest)[0]
+        expected = TomoOperator(cfg.grid(), cfg.parallel_geometry())
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(op.W, name),
+                                          getattr(expected.W, name))
+
+    def test_later_commands_never_parse_the_config(self, run_dir, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("config parsed again")
+
+        monkeypatch.setattr(data_io, "parse_config", fail)
+        assert "parse_config" not in vars(cli)
+        assert cli.main(["reconstruct", "--out", str(run_dir)]) == 0
+        assert cli.main(["evaluate", "--out", str(run_dir)]) == 0
+        assert cli.main(["sweep-rho", "--out", str(run_dir), "--rhos", "0.01",
+                         "--max-iter", "2"]) == 0
+
+    def test_moved_csv_files_do_not_break_later_commands(self, tmp_path):
+        energies = np.arange(0.0, 61.0, 2.0)
+        mu = np.array([np.exp(-energies / s) + 0.01 for s in (5, 10, 20, 40)])
+        table = spectral.AttenuationTable(["a", "b", "c", "d"], energies, mu)
+        data_io.save_attenuation_csv(tmp_path / "mu.csv", table)
+        (tmp_path / "source.csv").write_text(
+            "energy_keV,intensity\n0,10000\n60,20000\n")
+        cfg = parse_config(tiny_config(
+            dictionary={"type": "csv", "path": "mu.csv"},
+            source={"type": "csv", "path": "source.csv"}), base_dir=tmp_path)
+        run = tmp_path / "run"
+        cli.cmd_simulate(cfg, run)
+        moved = tmp_path / "moved"
+        moved.mkdir()
+        for name in ("mu.csv", "source.csv"):
+            (tmp_path / name).rename(moved / name)
+
+        method_dir = cli.cmd_reconstruct(run, method_params={"max_iter": 3})
+        assert (method_dir / "maps.adjm").exists()
+        assert 0.0 <= cli.cmd_evaluate(run)["ssim_avg"] <= 1.0
+        assert len(cli.cmd_sweep_rho(run, rho_list=(0.01,), max_iter=2)) == 1
+
+
 class TestPresets:
     def test_full(self):
         raw = cli.apply_preset(tiny_config(), "full")
@@ -382,31 +461,56 @@ class TestMainEntry:
          "dictionary": {"type": "synthetic", "materials": 8}},
     ], ids=["method_params", "channel_selection", "dictionary", "source", "noise",
             "material_rows", "channel_selection-dictionary"])
-    def test_bad_config_writes_nothing(self, tmp_path, command, override):
+    def test_bad_config_writes_nothing(self, tmp_path, capsys, command, override):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(
             tiny_config(output_dir=str(tmp_path / "out"), **override)))
         section = next(iter(override))
-        with pytest.raises(data_io.FormatError, match=f"^{section}"):
-            cli.main([command, "--config", str(cfg_path)])
+        assert_error_line(capsys, [command, "--config", str(cfg_path)],
+                          f"{section} section")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "pipeline"])
-    def test_malformed_config_file_names_path(self, tmp_path, command):
+    def test_malformed_config_file_names_path(self, tmp_path, capsys, command):
         cfg_path = tmp_path / "broken.json"
         cfg_path.write_text('{\n  "seed": 1,\n  broken\n}')
-        with pytest.raises(data_io.FormatError,
-                           match=f"^{re.escape(str(cfg_path))}:3: invalid JSON"):
-            cli.main([command, "--config", str(cfg_path)])
+        assert_error_line(capsys, [command, "--config", str(cfg_path)],
+                          f"{re.escape(str(cfg_path))}:3: invalid JSON")
 
     @pytest.mark.parametrize("command", ["simulate", "pipeline"])
-    def test_config_file_not_an_object_names_path(self, tmp_path, command):
+    def test_config_file_not_an_object_names_path(self, tmp_path, capsys, command):
         cfg_path = tmp_path / "list.json"
         cfg_path.write_text("[1, 2]")
+        assert_error_line(capsys, [command, "--config", str(cfg_path),
+                                   "--preset", "full"],
+                          f"{re.escape(str(cfg_path))}: a config must "
+                          "be a JSON object, got list")
+
+    def test_missing_phantom_section_is_one_error_line(self, tmp_path, capsys):
+        raw = tiny_config(output_dir=str(tmp_path / "out"))
+        del raw["phantom"]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert_error_line(capsys, ["simulate", "--config", str(cfg_path)],
+                          "config missing required section 'phantom'")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["reconstruct", "evaluate", "sweep-rho"])
+    def test_missing_run_directory_is_one_error_line(self, tmp_path, capsys,
+                                                     command):
+        assert_error_line(capsys, [command, "--out", str(tmp_path / "none")],
+                          ".*manifest.json not found; run `spectomo "
+                          "simulate` first")
+
+    @pytest.mark.parametrize("command", [cli.cmd_reconstruct, cli.cmd_evaluate,
+                                         cli.cmd_sweep_rho],
+                             ids=["reconstruct", "evaluate", "sweep-rho"])
+    def test_truncated_manifest_names_file_and_line(self, run_dir, command):
+        path = run_dir / "manifest.json"
+        path.write_text('{"seed": 1,')
         with pytest.raises(data_io.FormatError,
-                           match=f"^{re.escape(str(cfg_path))}: a config must "
-                                 "be a JSON object, got list"):
-            cli.main([command, "--config", str(cfg_path), "--preset", "full"])
+                           match=f"^{re.escape(str(path))}:1: invalid JSON"):
+            command(run_dir)
 
     @pytest.mark.parametrize("argv", [
         ["reconstruct", "--preset", "bogus"],
