@@ -15,8 +15,8 @@ from .solvers import (AapmConfig, AapmResult, CjointConfig, TwoStepConfig,
                       aapm, backtracking, cjoint, grad_coeffs, grad_maps,
                       lagrangian_value, nmf_als, objective, ru, tikhonov_cg,
                       ur)
-from .evaluation import (MatchResult, PSNR_SATURATION_DB, aggregate,
-                         greedy_match, mse, psnr, ssim)
+from .evaluation import (MatchResult, PSNR_SATURATION_DB, greedy_match, mse,
+                         psnr, ssim)
 from .data_io import (FormatError, RunConfig, export_pgm16,
                       load_attenuation_csv, load_config, load_matrix,
                       parse_config, save_attenuation_csv, save_matrix)

@@ -19,39 +19,38 @@ from pathlib import Path
 import numpy as np
 
 from . import data_io, evaluation, solvers, spectral
-from .data_io import RunConfig, load_config
+from .data_io import FormatError, RunConfig, load_config
 from .tomo import Grid2D, ParallelGeometry, TomoOperator
 
-PRESETS = ("full", "sparse-angle", "limited-view", "sparse-channel")
+# each measurement preset's angle count over [0, stop) and whether it keeps
+# one channel per dictionary entry; noisy-<p> is full plus p percent of
+# Gaussian noise, and every preset turns Poisson noise on unless it is set
+PRESETS = {"full": (180, np.pi, False), "sparse-angle": (10, np.pi, False),
+           "limited-view": (60, 2.0 * np.pi / 3.0, False),
+           "sparse-channel": (60, np.pi, True)}
+_PRESET_CHOICES = f"{', '.join(PRESETS)} or noisy-<percent>"
 DEFAULT_RHO_SWEEP = (0.0, 0.01, 0.1)
 
 
 def apply_preset(raw: dict, name: str) -> dict:
-    """Rewrite a raw config dict to one of the named measurement setups."""
+    """A copy of a raw config dict rewritten to one of the measurement
+    setups of `PRESETS`; an unknown name raises `FormatError`."""
     raw = json.loads(json.dumps(raw))            # deep copy, JSON-safe
     noise = raw.setdefault("noise", {})
     noise.setdefault("poisson", True)
     raw.pop("channel_selection", None)
-    if name == "full":
-        raw["geometry"]["angles"] = {"count": 180, "start": 0.0, "stop": np.pi}
-    elif name == "sparse-angle":
-        raw["geometry"]["angles"] = {"count": 10, "start": 0.0, "stop": np.pi}
-    elif name == "limited-view":
-        raw["geometry"]["angles"] = {"count": 60, "start": 0.0,
-                                     "stop": 2.0 * np.pi / 3.0}
-    elif name == "sparse-channel":
-        raw["geometry"]["angles"] = {"count": 60, "start": 0.0, "stop": np.pi}
-        raw["channel_selection"] = {"count": "dictionary"}
-    elif name.startswith("noisy-"):
+    if name.startswith("noisy-"):
         try:
-            percent = float(name.split("-", 1)[1])
+            noise["gaussian_percent"] = float(name[len("noisy-"):])
         except ValueError:
-            raise ValueError(f"bad noise preset {name!r}; use noisy-<percent>")
-        raw["geometry"]["angles"] = {"count": 180, "start": 0.0, "stop": np.pi}
-        noise["gaussian_percent"] = percent
-    else:
-        raise ValueError(f"unknown preset {name!r}; choose from "
-                         f"{PRESETS + ('noisy-<p>',)}")
+            raise FormatError(f"bad noise preset {name!r}; use noisy-<percent>") from None
+        name = "full"
+    if name not in PRESETS:
+        raise FormatError(f"unknown preset {name!r}; choose from {_PRESET_CHOICES}")
+    count, stop, per_entry = PRESETS[name]
+    raw["geometry"]["angles"] = {"count": count, "start": 0.0, "stop": stop}
+    if per_entry:
+        raw["channel_selection"] = {"count": "dictionary"}
     return raw
 
 
@@ -79,16 +78,14 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> dict:
     F_true = T[rows]
     counts = spectral.simulate_counts(phantom_hi, grid, geom, F_true, source,
                                       noise=noise, seed=cfg.seed)
-    Y = spectral.log_correct(counts, source).Y
-    if noise.gaussian_percent > 0:
-        Y = spectral.add_gaussian_noise(Y, noise.gaussian_percent,
-                                        seed=cfg.seed + 1)
+    Y = spectral.add_gaussian_noise(spectral.log_correct(counts, source).Y,
+                                    noise.gaussian_percent, seed=cfg.seed + 1)
 
     selected = None
     centers = binning.centers
     intensity = source.intensity
     if k is not None:
-        selected = spectral.select_channels(dictionary, k)
+        selected = spectral.select_channels(T, k)
         Y = Y[:, selected]
         T = T[:, selected]
         F_true = F_true[:, selected]
@@ -135,9 +132,9 @@ def cmd_reconstruct(out_dir: Path, method: str | None = None,
     manifest = _load_manifest(out_dir)
     method = method or manifest["config"]["method"]
     params = {**_configured_params(manifest, method), **(method_params or {})}
-    data_io.method_config(method, params)         # fail before any work
     if seed is None:
         seed = manifest["seed"]
+    data_io.method_config(method, params, seed)   # fail before any work
 
     problem = _load_problem(out_dir, manifest)
     method_dir = out_dir / method
@@ -329,9 +326,8 @@ _FLAGS = {
     "--config": {"help": "path to a JSON run configuration"},
     "--out": {"help": "run directory (overrides config output_dir)"},
     "--seed": {"type": int, "help": "override the config seed"},
-    "--method": {"help": "solver: adjust, cjoint, ru, or ur"},
-    "--preset": {"help": "measurement preset: full, sparse-angle, limited-view, "
-                         "sparse-channel, or noisy-<percent>"},
+    "--method": {"help": f"solver: {', '.join(data_io.METHOD_PARAMS)}"},
+    "--preset": {"help": f"measurement preset: {_PRESET_CHOICES}"},
     "--rhos": {"type": _rho_list, "default": DEFAULT_RHO_SWEEP,
                "help": "comma-separated feedback weights"},
     "--max-iter": {"type": int, "help": "iteration budget for each sweep run"},
@@ -406,8 +402,7 @@ def _required_out(args) -> Path:
     if args.out:
         return Path(args.out)
     if args.config:
-        cfg = load_config(args.config)
-        return Path(cfg.output_dir)
+        return Path(data_io.config_output_dir(args.config))
     raise SystemExit("error: --out (or --config with output_dir) is required")
 
 

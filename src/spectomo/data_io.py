@@ -29,8 +29,8 @@ CONFIG_VERSION = 1
 # the JSON kind of each (see `_value`)
 METHOD_PARAMS = {
     "adjust": {"rho": float, "max_iter": int, "eps_abs_tol": float,
-               "eps_rel_tol": float, "random_init": bool, "step0": float},
-    "cjoint": {"max_iter": int, "tol": float, "step0": float},
+               "eps_rel_tol": float, "random_init": bool},
+    "cjoint": {"max_iter": int, "tol": float},
     **dict.fromkeys(("ru", "ur"), {"tikhonov_lambda": float, "cg_max_iter": int,
                                    "cg_tol": float, "nmf_iters": int,
                                    "nmf_restarts": int}),
@@ -358,24 +358,28 @@ def _seed(value) -> int:
 
 
 def method_config(method: str, params: dict, seed: int = 0, callback=None):
-    """The solver config of `method` built from its `method_params`, each
-    read as the JSON kind `METHOD_PARAMS` gives it; an unknown name or a
-    value of another kind or one the config rejects raises `ValueError` or
-    `TypeError`."""
+    """The solver config of `method` built from its `method_params` and
+    `seed`, each read as the JSON kind `METHOD_PARAMS` gives it; an unknown
+    method or name, a value of another kind, a negative seed or a value the
+    config rejects raises `FormatError`."""
     if method not in METHOD_PARAMS:
-        raise ValueError(f"unknown method {method!r}; "
-                         f"choose from {tuple(METHOD_PARAMS)}")
+        raise FormatError(f"unknown method {method!r}; "
+                          f"choose from {tuple(METHOD_PARAMS)}")
     kinds = METHOD_PARAMS[method]
     unknown = set(params) - set(kinds)
     if unknown:
-        raise ValueError(f"unknown method parameters: {sorted(unknown)}; "
-                         f"supported: {sorted(kinds)}")
-    params = {name: _value(v, name, kinds[name]) for name, v in params.items()}
-    if method == "adjust":
-        return solvers.AapmConfig(seed=seed, callback=callback, **params)
-    if method == "cjoint":
-        return solvers.CjointConfig(callback=callback, **params)
-    return solvers.TwoStepConfig(seed=seed, **params)
+        raise FormatError(f"unknown method parameters: {sorted(unknown)}; "
+                          f"supported: {sorted(kinds)}")
+    try:
+        seed = _seed(seed)
+        params = {name: _value(v, name, kinds[name]) for name, v in params.items()}
+        if method == "adjust":
+            return solvers.AapmConfig(seed=seed, callback=callback, **params)
+        if method == "cjoint":
+            return solvers.CjointConfig(callback=callback, **params)
+        return solvers.TwoStepConfig(seed=seed, **params)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(str(exc)) from exc
 
 
 def read_json(path):
@@ -396,6 +400,14 @@ def load_config(path, edit=None) -> RunConfig:
     if edit is not None:
         raw = edit(raw)
     return parse_config(raw, base_dir=path.parent)
+
+
+def config_output_dir(path) -> str:
+    """The `output_dir` of the config file at `path`, all that the commands
+    after `simulate` take from a config; the rest of it is not read."""
+    raw = read_json(path)
+    _check_object(raw, f"{path}: ")
+    return _build("output_dir", _value, raw.get("output_dir"), "output_dir", str)
 
 
 def parse_config(raw: dict, base_dir: Path | str = ".") -> RunConfig:

@@ -7,11 +7,11 @@ then scored per pair.
 Metric conventions (deliberately literal):
 
 * ``mse`` is the *squared Euclidean norm* of the difference, without
-  dividing by the pixel count; pass ``normalized=True`` for the mean
-  variant.
+  dividing by the pixel count.
 * ``psnr`` uses the squared norm in the denominator accordingly, with the
   peak taken from the reference image.  A zero-error pair returns ``inf``;
-  CSV writers should saturate that at :data:`PSNR_SATURATION_DB`.
+  the writers cap it at :data:`PSNR_SATURATION_DB`, and their PSNR average
+  is the mean of the capped values (``data_io.capped_psnr``).
 * ``ssim`` is global (whole-image means, variances and cross-covariance,
   no sliding window) with the usual stabilizers for unit dynamic range.
 """
@@ -29,20 +29,17 @@ _SSIM_C1 = 0.01 ** 2
 _SSIM_C2 = 0.03 ** 2
 
 
-def mse(x: np.ndarray, y: np.ndarray, normalized: bool = False) -> float:
+def mse(x: np.ndarray, y: np.ndarray) -> float:
     x, y = _pair(x, y)
-    err = float(np.sum((x - y) ** 2))
-    return err / x.size if normalized else err
+    return float(np.sum((x - y) ** 2))
 
 
-def psnr(x: np.ndarray, y: np.ndarray, normalized: bool = False) -> float:
+def psnr(x: np.ndarray, y: np.ndarray) -> float:
     """Peak signal-to-noise ratio of `x` against the reference `y`, in dB."""
-    x, y = _pair(x, y)
-    err = mse(x, y, normalized=normalized)
+    err = mse(x, y)
     if err == 0.0:
         return np.inf
-    peak = float(np.max(y))
-    return 10.0 * np.log10(peak ** 2 / err)
+    return 10.0 * np.log10(float(np.max(y)) ** 2 / err)
 
 
 def ssim(x: np.ndarray, y: np.ndarray) -> float:
@@ -72,13 +69,13 @@ class MatchResult:
     psnr_values: list[float]
     ssim_values: list[float]
 
+    def __post_init__(self):
+        if not self.pairs:
+            raise ValueError("a matching has at least one pair")
+
     @property
     def mse_avg(self) -> float:
         return float(np.mean(self.mse_values))
-
-    @property
-    def psnr_avg(self) -> float:
-        return float(np.mean(self.psnr_values))
 
     @property
     def ssim_avg(self) -> float:
@@ -122,9 +119,3 @@ def greedy_match(A_rec: np.ndarray, A_gt: np.ndarray) -> MatchResult:
         ssim_values=[ssim(A_rec[:, i], A_gt[:, j]) for i, j in pairs],
     )
 
-
-def aggregate(match: MatchResult) -> tuple[float, float, float]:
-    """Arithmetic means of the per-pair MSE, PSNR and SSIM."""
-    if not match.pairs:
-        raise ValueError("cannot aggregate an empty matching")
-    return match.mse_avg, match.psnr_avg, match.ssim_avg

@@ -122,8 +122,6 @@ def disks(n: int, n_disks: int, grid: Grid2D | None = None) -> MaterialMap:
     A = np.zeros((n * n, n_disks))
     for m, c in enumerate(centers):
         A[_disk_mask(n, c, _DISK_RADIUS).ravel(), m] = 1.0
-    if np.any(A.sum(axis=1) > 1.0):
-        raise ValueError("rendered disks overlap")
     return MaterialMap(A=A, grid=grid,
                        labels=[f"disk_{m}" for m in range(n_disks)])
 
@@ -145,8 +143,6 @@ def mixed_disks(n: int, n_materials: int, grid: Grid2D | None = None) -> Materia
         mask = _disk_mask(n, c, _DISK_RADIUS).ravel()
         A[mask, i] = 0.5
         A[mask, j] = 0.5
-    if np.any(A.sum(axis=1) > 1.0):
-        raise ValueError("rendered disks overlap")
     return MaterialMap(A=A, grid=grid,
                        labels=[f"material_{m}" for m in range(n_materials)])
 

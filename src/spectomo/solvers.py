@@ -41,26 +41,26 @@ MAX_HALVINGS = 30
 def objective(A: np.ndarray, R: np.ndarray, op: TomoOperator,
               T: np.ndarray, Y: np.ndarray) -> float:
     """Least-squares misfit ``0.5 * ||Y - W A R T||_F^2``."""
-    return _misfit(Y - _predict(A, R, op, _dict_matrix(T))[1])
+    return _misfit(Y - _predict(A, R, op, np.asarray(T, dtype=np.float64))[1])
 
 
 def lagrangian_value(A, R, U, op, T, Y) -> float:
     """Misfit plus the running-sum-of-errors inner product ``<U, E>``."""
-    E = Y - _predict(A, R, op, _dict_matrix(T))[1]
+    E = Y - _predict(A, R, op, np.asarray(T, dtype=np.float64))[1]
     return _misfit(E) + float(np.vdot(U, E))
 
 
 def grad_maps(A, R, U, op, T, Y) -> np.ndarray:
     """Gradient of :func:`lagrangian_value` with respect to the maps:
     ``W^T (W A R T - Y - U) T^T R^T``."""
-    T = _dict_matrix(T)
+    T = np.asarray(T, dtype=np.float64)
     return _grad_maps(op, Y + U - _predict(A, R, op, T)[1], R @ T)
 
 
 def grad_coeffs(A, R, U, op, T, Y) -> np.ndarray:
     """Gradient with respect to the coefficients:
     ``A^T W^T (W A R T - Y - U) T^T``."""
-    T = _dict_matrix(T)
+    T = np.asarray(T, dtype=np.float64)
     WA, P = _predict(A, R, op, T)
     return _grad_coeffs(WA, Y + U - P, T)
 
@@ -83,10 +83,6 @@ def _grad_coeffs(WA, E, T) -> np.ndarray:
 
 def _grad_maps(op, E, RT) -> np.ndarray:
     return op.adjoint(-(E @ RT.T))
-
-
-def _dict_matrix(T) -> np.ndarray:
-    return np.asarray(T, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +171,7 @@ class AapmResult(FactorResult):
 
 
 def _alternating_pg(op, T, Y, A, X, project_A, project_X, rho, max_iter,
-                    eps_abs_tol, eps_rel_tol, step0, callback) -> AapmResult:
+                    eps_abs_tol, eps_rel_tol, callback) -> AapmResult:
     """The loop of `aapm` and `cjoint` (`aapm` gives the stopping rule); its
     result holds the coefficient block `X` as `R` and ``X @ T`` as `F`."""
     U = np.zeros_like(Y)
@@ -204,7 +200,7 @@ def _alternating_pg(op, T, Y, A, X, project_A, project_X, rho, max_iter,
         return x_new, t, memory
 
     norm_Y = float(np.linalg.norm(Y))
-    alpha = beta = step0
+    alpha = beta = 1.0                # both blocks' step memories
     history: list[IterationRecord] = []
     step_failures = 0
     stop_reason = None
@@ -268,7 +264,6 @@ class AapmConfig:
     max_iter: int = 1000
     eps_abs_tol: float = 1e-4
     eps_rel_tol: float = 1e-6
-    step0: float = 1.0
     seed: Optional[int] = None
     random_init: bool = False
     A0: Optional[np.ndarray] = None
@@ -313,7 +308,7 @@ def aapm(op: TomoOperator, T, Y: np.ndarray, n_materials: int,
     stop reason.
     """
     cfg = config or AapmConfig()
-    T = _dict_matrix(T)
+    T = np.asarray(T, dtype=np.float64)
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
     D = T.shape[0]
     M = int(n_materials)
@@ -325,8 +320,7 @@ def aapm(op: TomoOperator, T, Y: np.ndarray, n_materials: int,
     A, R = _initial_point(op.n_image, M, D, cfg)
     return _alternating_pg(
         op, T, Y, A, R, project_material_map, project_doubly_capped,
-        cfg.rho, cfg.max_iter, cfg.eps_abs_tol, cfg.eps_rel_tol, cfg.step0,
-        cfg.callback)
+        cfg.rho, cfg.max_iter, cfg.eps_abs_tol, cfg.eps_rel_tol, cfg.callback)
 
 
 def _initial_point(N, M, D, cfg: AapmConfig):
@@ -354,7 +348,6 @@ def _initial_point(N, M, D, cfg: AapmConfig):
 class CjointConfig:
     max_iter: int = 2000
     tol: float = 1e-4                 # relative residual ||Y - W A F|| / ||Y||
-    step0: float = 1.0
     callback: Optional[Callable] = None
 
     def __post_init__(self):
@@ -366,8 +359,6 @@ def _check_loop_settings(cfg, tolerances) -> None:
     no run can use."""
     if type(cfg.max_iter) is not int or cfg.max_iter < 1:
         raise ValueError(f"max_iter must be an int >= 1, got {cfg.max_iter!r}")
-    if not (np.isfinite(cfg.step0) and cfg.step0 > 0):
-        raise ValueError(f"step0 must be positive and finite, got {cfg.step0}")
     for name in tolerances:
         value = getattr(cfg, name)
         if not (np.isfinite(value) and value >= 0):
@@ -398,7 +389,7 @@ def cjoint(op: TomoOperator, Y: np.ndarray, n_materials: int,
 
     run = _alternating_pg(
         op, np.eye(C), Y, A, F, clip, clip, 0.0, cfg.max_iter, cfg.tol, 0.0,
-        cfg.step0, cfg.callback)
+        cfg.callback)
     A, F = _normalize_factor_scale(run.A, run.R)          # T = I: R is F
     return FactorResult(A, F, run.history, run.stop_reason, run.step_failures)
 

@@ -231,14 +231,14 @@ def add_gaussian_noise(Y: np.ndarray, strength_percent: float,
     return Y + rng.normal(0.0, sigma, size=Y.shape)
 
 
-def channel_pivot_order(dictionary: SpectralDictionary | np.ndarray, k: int) -> np.ndarray:
-    """First `k` channels in greedy selection order.
+def channel_pivot_order(T: np.ndarray, k: int) -> np.ndarray:
+    """First `k` channels of the (D, C) dictionary array `T` in greedy
+    selection order.
 
     Greedy means: repeatedly take the channel (column) with the largest
     residual norm after orthogonalizing against the already chosen ones,
     i.e. QR with column pivoting.
     """
-    T = dictionary.T if isinstance(dictionary, SpectralDictionary) else dictionary
     T = np.atleast_2d(np.asarray(T, dtype=np.float64))
     C = T.shape[1]
     if not 1 <= k <= C:
@@ -247,10 +247,11 @@ def channel_pivot_order(dictionary: SpectralDictionary | np.ndarray, k: int) -> 
     return piv[:k].copy()
 
 
-def select_channels(dictionary: SpectralDictionary | np.ndarray, k: int) -> np.ndarray:
-    """Pick `k` channels spanning the dictionary as well as possible;
-    see :func:`channel_pivot_order`.  Indices are returned sorted ascending."""
-    return np.sort(channel_pivot_order(dictionary, k))
+def select_channels(T: np.ndarray, k: int) -> np.ndarray:
+    """Pick `k` channels spanning the dictionary array `T` as well as
+    possible; see :func:`channel_pivot_order`.  Indices are returned sorted
+    ascending."""
+    return np.sort(channel_pivot_order(T, k))
 
 
 def kedge_dictionary(n_materials: int, binning: ChannelBinning,

@@ -379,6 +379,22 @@ class TestRunDirectory:
         assert 0.0 <= cli.cmd_evaluate(run)["ssim_avg"] <= 1.0
         assert len(cli.cmd_sweep_rho(run, rho_list=(0.01,), max_iter=2)) == 1
 
+    def test_config_only_locates_the_run_directory(self, tmp_path):
+        energies = np.arange(0.0, 61.0, 2.0)
+        mu = np.array([np.exp(-energies / s) + 0.01 for s in (5, 10, 20, 40)])
+        table = spectral.AttenuationTable(["a", "b", "c", "d"], energies, mu)
+        data_io.save_attenuation_csv(tmp_path / "mu.csv", table)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config(
+            output_dir=str(tmp_path / "run"),
+            dictionary={"type": "csv", "path": "mu.csv"})))
+        assert cli.main(["simulate", "--config", str(cfg_path)]) == 0
+        (tmp_path / "mu.csv").rename(tmp_path / "moved.csv")
+        for argv in (["reconstruct"], ["evaluate"],
+                     ["sweep-rho", "--rhos", "0.01", "--max-iter", "2"]):
+            assert cli.main([*argv, "--config", str(cfg_path)]) == 0
+        assert (tmp_path / "run" / "sweep" / "history_rho_0.01.csv").exists()
+
 
 class TestPresets:
     def test_full(self):
@@ -415,6 +431,33 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="unknown preset"):
             cli.apply_preset(tiny_config(), "bogus")
+
+    # the whole config each preset makes of one with no noise section and a
+    # channel selection of its own, recorded before the presets became a
+    # table; json.dumps compares the key order too, which the manifest keeps
+    @pytest.mark.parametrize("preset,count,stop,noise,selection", [
+        ("full", 180, 3.141592653589793, {"poisson": True}, None),
+        ("sparse-angle", 10, 3.141592653589793, {"poisson": True}, None),
+        ("limited-view", 60, 2.0943951023931953, {"poisson": True}, None),
+        ("sparse-channel", 60, 3.141592653589793, {"poisson": True},
+         {"count": "dictionary"}),
+        ("noisy-10", 180, 3.141592653589793,
+         {"poisson": True, "gaussian_percent": 10.0}, None),
+    ])
+    def test_whole_config_as_recorded(self, preset, count, stop, noise,
+                                      selection):
+        raw = tiny_config(channel_selection={"count": 2})
+        del raw["noise"]
+        before = json.dumps(raw)
+        expected = tiny_config()
+        del expected["noise"]
+        expected["geometry"]["angles"] = {"count": count, "start": 0.0,
+                                          "stop": stop}
+        expected["noise"] = noise
+        if selection is not None:
+            expected["channel_selection"] = selection
+        assert json.dumps(cli.apply_preset(raw, preset)) == json.dumps(expected)
+        assert json.dumps(raw) == before              # the input is copied
 
 
 class TestMainEntry:
@@ -469,6 +512,34 @@ class TestMainEntry:
         assert_error_line(capsys, [command, "--config", str(cfg_path)],
                           f"{section} section")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["reconstruct", "--out", "{run}", "--method", "bogus"],
+         "unknown method 'bogus'"),
+        (["simulate", "--config", "{cfg}", "--preset", "bogus"],
+         "unknown preset 'bogus'"),
+        (["sweep-rho", "--out", "{run}", "--max-iter", "0"],
+         "max_iter must be an int >= 1"),
+        (["sweep-rho", "--out", "{run}", "--rhos", "1.5"],
+         r"rho must lie in \[0, 1\)"),
+        (["reconstruct", "--out", "{run}", "--seed", "-3"],
+         "seed must be a non-negative integer"),
+    ], ids=["method", "preset", "max-iter", "rhos", "seed"])
+    def test_bad_flag_value_leaves_the_run_as_it_was(self, run_dir, capsys,
+                                                     argv, message):
+        cli.cmd_reconstruct(run_dir, method_params={"max_iter": 3})
+        cfg_path = run_dir.parent / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config(output_dir=str(run_dir))))
+
+        def snapshot():
+            return {p: p.read_bytes() if p.is_file() else None
+                    for p in run_dir.rglob("*")}
+
+        before = snapshot()
+        assert (run_dir / "adjust" / "history.csv") in before
+        assert_error_line(capsys, [a.format(run=run_dir, cfg=cfg_path)
+                                   for a in argv], message)
+        assert snapshot() == before
 
     @pytest.mark.parametrize("command", ["simulate", "pipeline"])
     def test_malformed_config_file_names_path(self, tmp_path, capsys, command):

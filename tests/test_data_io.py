@@ -283,6 +283,13 @@ class TestRunConfig:
         with pytest.raises(FormatError, match="^method_params"):
             parse_config(valid_config(method=method, method_params=params))
 
+    @pytest.mark.parametrize("method", ["adjust", "cjoint"])
+    def test_step0_is_an_unknown_parameter(self, method):
+        with pytest.raises(FormatError, match=r"^method_params section invalid: "
+                                              r"unknown method parameters: \['step0'\]"):
+            parse_config(valid_config(method=method,
+                                      method_params={"step0": 1.0}))
+
     @pytest.mark.parametrize("selection", [
         {"count": 0}, {"count": 9}, {"count": "abc"}, {"count": 2.0},
         {"count": True}, {}, 3,
@@ -369,7 +376,7 @@ class TestRunConfig:
                                         "method_params": {"nmf_iters": 2.5}}),
         ("method_params", "cg_max_iter", {"method": "ru",
                                           "method_params": {"cg_max_iter": 2.5}}),
-        ("method_params", "step0", {"method_params": {"step0": "1"}}),
+        ("method_params", "eps_rel_tol", {"method_params": {"eps_rel_tol": "1"}}),
         ("method_params", "tol", {"method": "cjoint",
                                   "method_params": {"tol": None}}),
     ], ids=["size-fractional", "count-text", "pixel_size-text", "angles-text",
@@ -378,7 +385,7 @@ class TestRunConfig:
             "photons-text", "gaussian-bool", "gaussian-text", "seed-fractional",
             "seed-text", "seed-negative", "eps_abs_tol-bool",
             "nmf_restarts-bool", "nmf_iters-fractional",
-            "cg_max_iter-fractional", "step0-text", "tol-null"])
+            "cg_max_iter-fractional", "eps_rel_tol-text", "tol-null"])
     def test_number_that_is_not_a_json_number_rejected(self, section, key,
                                                         override):
         with pytest.raises(FormatError,

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from spectomo import aggregate, greedy_match, mse, psnr, ssim
+from spectomo import PSNR_SATURATION_DB, greedy_match, mse, psnr, ssim
+from spectomo.data_io import capped_psnr
 
 from oracles import greedy_match_bruteforce
 
@@ -28,12 +29,6 @@ class TestMetricFixtures:
         # squared-norm error: 4 pixels x 0.1^2
         assert mse(rec, self.gt) == pytest.approx(0.04, abs=1e-15)
         assert psnr(rec, self.gt) == pytest.approx(10 * np.log10(1.0 / 0.04), abs=1e-12)
-
-    def test_normalized_variants(self):
-        rec = self.gt + 0.1
-        assert mse(rec, self.gt, normalized=True) == pytest.approx(0.01, abs=1e-15)
-        assert psnr(rec, self.gt, normalized=True) == pytest.approx(
-            10 * np.log10(1.0 / 0.01), abs=1e-12)
 
     def test_worked_ssim(self):
         x = np.array([0.0, 1.0, 0.0, 1.0])
@@ -136,32 +131,33 @@ class TestGreedyMatch:
 
 
 class TestAggregate:
+    """The averages of a `MatchResult`; the PSNR average is the capped one
+    of `data_io.capped_psnr`."""
+
     def test_perfect_reconstruction(self):
         A = np.random.default_rng(6).uniform(size=(10, 3))
-        mse_avg, psnr_avg, ssim_avg = aggregate(greedy_match(A, A))
-        assert mse_avg == 0.0
-        assert psnr_avg == np.inf
-        assert ssim_avg == 1.0
+        m = greedy_match(A, A)
+        assert m.mse_avg == 0.0
+        assert m.psnr_values == [np.inf] * 3
+        assert capped_psnr(m) == ([PSNR_SATURATION_DB] * 3, PSNR_SATURATION_DB)
+        assert m.ssim_avg == 1.0
 
     def test_single_material_equals_pair_value(self):
         rng = np.random.default_rng(7)
         rec = rng.uniform(size=(12, 1))
         gt = rng.uniform(size=(12, 1))
         m = greedy_match(rec, gt)
-        assert aggregate(m) == (m.mse_values[0], m.psnr_values[0], m.ssim_values[0])
+        assert (m.mse_avg, m.ssim_avg) == (m.mse_values[0], m.ssim_values[0])
 
     def test_means_match_independent_recomputation(self):
         rng = np.random.default_rng(8)
         rec = rng.uniform(size=(10, 3))
         gt = rng.uniform(size=(10, 3))
         m = greedy_match(rec, gt)
-        mse_avg, psnr_avg, ssim_avg = aggregate(m)
-        assert mse_avg == pytest.approx(sum(m.mse_values) / 3, rel=1e-14)
-        assert psnr_avg == pytest.approx(sum(m.psnr_values) / 3, rel=1e-14)
-        assert ssim_avg == pytest.approx(sum(m.ssim_values) / 3, rel=1e-14)
+        assert m.mse_avg == pytest.approx(sum(m.mse_values) / 3, rel=1e-14)
+        assert m.ssim_avg == pytest.approx(sum(m.ssim_values) / 3, rel=1e-14)
 
     def test_empty_matching_rejected(self):
         from spectomo import MatchResult
         with pytest.raises(ValueError):
-            aggregate(MatchResult(pairs=[], mse_values=[], psnr_values=[],
-                                  ssim_values=[]))
+            MatchResult(pairs=[], mse_values=[], psnr_values=[], ssim_values=[])

@@ -197,7 +197,7 @@ class TestGaussianNoise:
 class TestSelectChannels:
     def test_full_selection_is_everything(self):
         dic = kedge_dictionary(3, ChannelBinning.equidistant(8, 5, 35))
-        assert np.array_equal(select_channels(dic, 8), np.arange(8))
+        assert np.array_equal(select_channels(dic.T, 8), np.arange(8))
 
     def test_duplicate_columns_not_both_kept(self):
         rng = np.random.default_rng(4)
