@@ -36,19 +36,24 @@ def apply_preset(raw: dict, name: str) -> dict:
     """A copy of a raw config dict rewritten to one of the measurement
     setups of `PRESETS`; an unknown name raises `FormatError`."""
     raw = json.loads(json.dumps(raw))            # deep copy, JSON-safe
-    noise = raw.setdefault("noise", {})
-    noise.setdefault("poisson", True)
-    raw.pop("channel_selection", None)
+    percent = None
     if name.startswith("noisy-"):
         try:
-            noise["gaussian_percent"] = float(name[len("noisy-"):])
+            percent = float(name[len("noisy-"):])
         except ValueError:
             raise FormatError(f"bad noise preset {name!r}; use noisy-<percent>") from None
         name = "full"
     if name not in PRESETS:
         raise FormatError(f"unknown preset {name!r}; choose from {_PRESET_CHOICES}")
+    geometry, noise = raw.get("geometry"), raw.setdefault("noise", {})
+    if not (isinstance(geometry, dict) and isinstance(noise, dict)):
+        return raw          # the config check rejects it as it does without a preset
+    noise.setdefault("poisson", True)
+    if percent is not None:
+        noise["gaussian_percent"] = percent
+    raw.pop("channel_selection", None)
     count, stop, per_entry = PRESETS[name]
-    raw["geometry"]["angles"] = {"count": count, "start": 0.0, "stop": stop}
+    geometry["angles"] = {"count": count, "start": 0.0, "stop": stop}
     if per_entry:
         raw["channel_selection"] = {"count": "dictionary"}
     return raw
@@ -220,25 +225,30 @@ def cmd_evaluate(out_dir: Path, method: str | None = None) -> dict:
 
 def cmd_sweep_rho(out_dir: Path, rho_list=DEFAULT_RHO_SWEEP,
                   max_iter: int | None = None) -> list[Path]:
-    """Run the dictionary solver once per feedback weight on the same data;
-    one history CSV per value, directly comparable across the sweep."""
+    """Run the dictionary solver once per distinct feedback weight, in the
+    order first given, on the same data; one history CSV per value,
+    directly comparable across the sweep."""
     out_dir = Path(out_dir)
     manifest = _load_manifest(out_dir)
     params = _configured_params(manifest, "adjust")
     if max_iter is not None:
         params["max_iter"] = max_iter
-    for rho in rho_list:                          # fail before any work
+    names = {}                                    # file name -> rho
+    for rho in dict.fromkeys(rho_list):           # fail before any work
         data_io.method_config("adjust", {**params, "rho": rho})
+        name = f"history_rho_{rho:g}.csv"
+        if name in names:
+            raise FormatError(f"rho values {names[name]!r} and {rho!r} would "
+                              f"both write {name}")
+        names[name] = rho
 
     problem = _load_problem(out_dir, manifest)
     sweep_dir = out_dir / "sweep"
     sweep_dir.mkdir(exist_ok=True)
-    paths = []
-    for rho in rho_list:
-        path = sweep_dir / f"history_rho_{rho:g}.csv"
-        _solve("adjust", problem, {**params, "rho": rho}, manifest["seed"], path)
-        paths.append(path)
-    return paths
+    for name, rho in names.items():
+        _solve("adjust", problem, {**params, "rho": rho}, manifest["seed"],
+               sweep_dir / name)
+    return [sweep_dir / name for name in names]
 
 
 def cmd_pipeline(cfg: RunConfig, out_dir: Path,

@@ -14,10 +14,12 @@ volume) and `ur` (factorize the sinogram, then reconstruct each material).
 All matrix products involving the tomographic operator go through
 ``op.forward`` / ``op.adjoint``, and predicted data is always formed as
 ``(W A) @ (R @ T)`` so repeated evaluations of the same iterate are
-bit-identical.  Besides the data ``Y``, the loop holds three data-sized
-arrays (``U``, the shifted data and the residual) and, during a line
-search, one trial residual, which is formed in the buffer of its
-prediction.
+bit-identical.  Besides the data ``Y``, the loop holds one data-sized
+array at ``rho = 0``, the residual, and three at ``rho > 0``: ``U``, the
+shifted data and the residual.  Every line-search trial forms its
+prediction and residual in the residual's buffer, so a search that finds no
+step forms the residual again at the unchanged iterate; at ``rho = 0`` the
+result's all-zero ``U`` is made only at exit.
 """
 
 from __future__ import annotations
@@ -174,29 +176,34 @@ def _alternating_pg(op, T, Y, A, X, project_A, project_X, rho, max_iter,
                     eps_abs_tol, eps_rel_tol, callback) -> AapmResult:
     """The loop of `aapm` and `cjoint` (`aapm` gives the stopping rule); its
     result holds the coefficient block `X` as `R` and ``X @ T`` as `F`."""
-    U = np.zeros_like(Y)
+    U = np.zeros_like(Y) if rho else None
     Yk = Y.copy() if rho else Y       # the shifted data Y + U, updated in place
+    E = np.empty(Y.shape)             # the one residual buffer
 
     def value(WAc, RTc):
-        Ec = WAc @ RTc
-        np.subtract(Yk, Ec, out=Ec)   # the residual takes the prediction's place
-        return _misfit(Ec), (WAc, Ec)
+        """Misfit of the trial ``(WAc, RTc)``; its residual overwrites `E`."""
+        np.matmul(WAc, RTc, out=E)
+        np.subtract(Yk, E, out=E)
+        return _misfit(E), WAc
 
-    jt, (WA, E) = value(op.forward(A), X @ T)
+    RT = X @ T
+    jt, WA = value(op.forward(A), RT)
 
     def step(x, grad, project, value_at, memory):
         """One block's backtracking from twice its memorized step; the
-        accepted trial's ``(WA, E)`` replace the loop's.  Returns the new
-        block, the accepted step (0 if none) and the new memory."""
-        nonlocal jt, WA, E
-        x_new, t, jt, aux = backtracking(x, grad, project, value_at, jt,
-                                         2.0 * memory)
+        accepted trial's `WA` replaces the loop's.  Returns the new block,
+        the accepted step (0 if none) and the new memory."""
+        nonlocal jt, WA
+        x_new, t, jt, WA_new = backtracking(x, grad, project, value_at, jt,
+                                            2.0 * memory)
         if t > 0.0:
-            WA, E = aux
+            WA = WA_new
             # grow the memorized step only on real movement, otherwise a
             # stalled block would double it without bound
             if not np.array_equal(x_new, x):
                 memory = t
+        else:                         # the rejected trials overwrote E: form
+            value(WA, RT)             # it again at the unchanged iterate
         return x_new, t, memory
 
     norm_Y = float(np.linalg.norm(Y))
@@ -225,17 +232,15 @@ def _alternating_pg(op, T, Y, A, X, project_A, project_X, rho, max_iter,
         # decay (the opposite sign winds up and collapses the iterates)
         obj = jt                      # objective() at the new iterate, exactly
         if rho:
-            P = WA @ RT               # the prediction at the new iterate
-            np.subtract(Y, P, out=E)
+            np.matmul(WA, RT, out=E)
+            np.subtract(Y, E, out=E)  # the true residual at the new iterate
             obj = _misfit(E)
             E *= rho
             U += E
             np.add(Y, U, out=Yk)
-            # recomputed from P, not updated, so that a trial which leaves
-            # the iterate as it is reproduces jt exactly and is accepted
-            np.subtract(Yk, P, out=E)
-            jt = _misfit(E)
-            del P                     # one J x C array fewer in the next steps
+            # formed again, not updated, so that a trial which leaves the
+            # iterate as it is reproduces jt exactly and is accepted
+            jt, _ = value(WA, RT)
         resid = np.sqrt(2.0 * obj)
         record = IterationRecord(
             iteration=k, objective=obj,
@@ -255,7 +260,8 @@ def _alternating_pg(op, T, Y, A, X, project_A, project_X, rho, max_iter,
         elif k >= max_iter:
             stop_reason = "max_iter"
     return AapmResult(A=A, F=X @ T, history=history, stop_reason=stop_reason,
-                      step_failures=step_failures, R=X, U=U)
+                      step_failures=step_failures, R=X,
+                      U=U if rho else np.zeros_like(Y))
 
 
 @dataclass

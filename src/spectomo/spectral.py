@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .tomo import Grid2D, ParallelGeometry, TomoOperator
 from .phantoms import MaterialMap
@@ -243,6 +242,9 @@ def channel_pivot_order(T: np.ndarray, k: int) -> np.ndarray:
     C = T.shape[1]
     if not 1 <= k <= C:
         raise ValueError(f"k must be in [1, {C}], got {k}")
+    # imported here: loading it costs each process about 8 MB and 0.14 s
+    import scipy.linalg
+
     _, _, piv = scipy.linalg.qr(T, mode="economic", pivoting=True)
     return piv[:k].copy()
 

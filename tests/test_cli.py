@@ -315,6 +315,34 @@ class TestSweepRho:
             cli.cmd_sweep_rho(run_dir, rho_list=(0.01, 2.0), max_iter=2)
         assert not (run_dir / "sweep").exists()
 
+    def test_each_distinct_rho_solved_once(self, run_dir, capsys, monkeypatch):
+        calls = []
+        real = cli._solve
+
+        def counted(method, problem, params, seed, history_path):
+            calls.append(params["rho"])
+            return real(method, problem, params, seed, history_path)
+
+        monkeypatch.setattr(cli, "_solve", counted)
+        assert cli.main(["sweep-rho", "--out", str(run_dir), "--rhos",
+                         "0.01,0.01,0.010", "--max-iter", "2"]) == 0
+        assert calls == [0.01]
+        assert capsys.readouterr().out.splitlines() == [
+            f"wrote {run_dir / 'sweep' / 'history_rho_0.01.csv'}"]
+        paths = cli.cmd_sweep_rho(run_dir, rho_list=(0.1, 0.0, 0.1, 0.0),
+                                  max_iter=2)
+        assert calls == [0.01, 0.1, 0.0]
+        assert [p.name for p in paths] == ["history_rho_0.1.csv",
+                                           "history_rho_0.csv"]
+
+    def test_rhos_sharing_a_file_name_fail_before_any_work(self, run_dir,
+                                                           no_operator):
+        with pytest.raises(data_io.FormatError,
+                           match="0.01 and 0.01000001 would both write "
+                                 "history_rho_0.01.csv"):
+            cli.cmd_sweep_rho(run_dir, rho_list=(0.01, 0.01000001), max_iter=2)
+        assert not (run_dir / "sweep").exists()
+
     def test_palm_history_monotone(self, run_dir):
         path = cli.cmd_sweep_rho(run_dir, rho_list=(0.0,), max_iter=10)[0]
         objs = [float(line.split(",")[1])
@@ -564,6 +592,28 @@ class TestMainEntry:
         cfg_path.write_text(json.dumps(raw))
         assert_error_line(capsys, ["simulate", "--config", str(cfg_path)],
                           "config missing required section 'phantom'")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("preset", ["full", "noisy-5"])
+    @pytest.mark.parametrize("section, value", [
+        ("geometry", None), ("geometry", [1]), ("noise", [1]),
+    ], ids=["no-geometry", "geometry-list", "noise-list"])
+    def test_preset_on_a_bad_section_is_the_same_error(self, tmp_path, capsys,
+                                                       preset, section, value):
+        raw = tiny_config(output_dir=str(tmp_path / "out"))
+        if value is None:
+            del raw[section]
+        else:
+            raw[section] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        argv = ["simulate", "--config", str(cfg_path)]
+        with pytest.raises(SystemExit):
+            cli.main(argv)
+        plain = capsys.readouterr().err
+        assert section in plain
+        assert_error_line(capsys, argv + ["--preset", preset], re.escape(
+            plain.removeprefix("spectomo: error: ")))
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["reconstruct", "evaluate", "sweep-rho"])

@@ -425,25 +425,65 @@ def test_one_failed_block_is_counted_as_int(monkeypatch):
         "step_failures": 5}
 
 
-@pytest.mark.parametrize("rho, bound", [(0.05, 4.5), (0.0, 3.5)])
-def test_loop_transient_memory_bounded(rho, bound):
-    # above its inputs the loop holds U, the shifted data (Y itself at
-    # rho = 0), the residual and one trial residual, each the size of Y;
-    # the half array of slack covers the map- and coefficient-sized arrays
+@pytest.mark.parametrize("solve, bound", [
+    pytest.param(lambda op, T, Y: aapm(op, T, Y, 3, AapmConfig(
+        rho=0.05, max_iter=5, random_init=True, seed=1)), 3.5, id="aapm-rho0.05"),
+    pytest.param(lambda op, T, Y: aapm(op, T, Y, 3, AapmConfig(
+        rho=0.0, max_iter=5, random_init=True, seed=1)), 2.5, id="aapm-rho0"),
+    pytest.param(lambda op, T, Y: cjoint(op, Y, 3, CjointConfig(max_iter=5)),
+                 2.5, id="cjoint"),
+])
+def test_loop_transient_memory_bounded(solve, bound):
+    # above its inputs the loop holds the residual, in which every trial is
+    # formed, and at rho > 0 also U and the shifted data, each the size of Y;
+    # at rho = 0 the result's zero U is made at exit, next to the residual.
+    # The half array of slack covers the map- and coefficient-sized arrays
     op = TomoOperator(Grid2D(32, 32), ParallelGeometry(
         angles=np.linspace(0, np.pi, 45, endpoint=False), n_det=32))
     T = kedge_dictionary(8, ChannelBinning.equidistant(64, 5, 35), peak=0.3).T
     Y = op.forward(disks(32, 3).A) @ T[[0, 3, 6]]
-    cfg = AapmConfig(rho=rho, max_iter=5, random_init=True, seed=1)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        res = aapm(op, T, Y, 3, cfg)
+        res = solve(op, T, Y)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert res.n_iter == 5
     assert peak - start <= bound * Y.nbytes
+
+
+@pytest.mark.parametrize("solve", ALTERNATING)
+def test_failed_search_leaves_the_residual_of_the_iterate(solve, monkeypatch):
+    # every trial overwrites the loop's one residual buffer, so a search that
+    # finds no step must form the residual again at the unchanged iterate;
+    # a run whose failing searches evaluate a trial first then runs as one
+    # whose failing searches evaluate none
+    real = solvers.backtracking
+
+    def fail_first(evaluate):
+        searches = []
+
+        def search(x, grad, project, value_at, current_value, step0):
+            searches.append(None)
+            if len(searches) in (1, 4):     # first R step, second A step
+                if evaluate:
+                    value_at(project(x - step0 * grad))
+                return x, 0.0, current_value, None
+            return real(x, grad, project, value_at, current_value, step0)
+        return search
+
+    op, T, A_true, R_true, Y = exact_instance()
+    runs = []
+    for evaluate in (False, True):
+        monkeypatch.setattr(solvers, "backtracking", fail_first(evaluate))
+        runs.append(solve(op, T, Y, 4))
+    plain, evaluated = runs
+    assert plain.step_failures == evaluated.step_failures == 2
+    assert np.array_equal(plain.A, evaluated.A)
+    assert np.array_equal(plain.F, evaluated.F)
+    assert ([r.objective for r in plain.history]
+            == [r.objective for r in evaluated.history])
 
 
 class TestTwoStep:

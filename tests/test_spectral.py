@@ -1,6 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import spectomo
 from spectomo import (AttenuationTable, ChannelBinning, Grid2D, NoiseConfig,
                       ParallelGeometry, SourceSpectrum, SpectralDictionary,
                       TomoOperator, add_gaussian_noise, bin_attenuation, disks,
@@ -212,6 +219,28 @@ class TestSelectChannels:
         order = channel_pivot_order(T, 3)
         assert list(order) == greedy_column_selection(T, 3)
         assert np.array_equal(select_channels(T, 3), np.sort(order))
+
+    def test_scipy_linalg_loaded_only_by_channel_selection(self):
+        # a fresh process: this one has long loaded scipy.linalg
+        code = (
+            "import json, sys\n"
+            "import numpy as np\n"
+            "import spectomo.cli\n"
+            "loaded = ['scipy.linalg' in sys.modules]\n"
+            "T = np.random.default_rng(5).uniform(0.0, 1.0, size=(5, 8))\n"
+            "picked = spectomo.spectral.select_channels(T, 3).tolist()\n"
+            "loaded.append('scipy.linalg' in sys.modules)\n"
+            "order = spectomo.spectral.channel_pivot_order(T, 3).tolist()\n"
+            "print(json.dumps([loaded, order, picked]))\n")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(spectomo.__file__).resolve().parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120).stdout
+        loaded, order, picked = json.loads(out)
+        assert loaded == [False, True]
+        T = np.random.default_rng(5).uniform(0.0, 1.0, size=(5, 8))
+        assert order == greedy_column_selection(T, 3)
+        assert picked == sorted(order)
 
     def test_k_out_of_range(self):
         T = np.ones((2, 4))
