@@ -18,8 +18,9 @@ bit-identical.  Besides the data ``Y``, the loop holds one data-sized
 array at ``rho = 0``, the residual, and three at ``rho > 0``: ``U``, the
 shifted data and the residual.  Every line-search trial forms its
 prediction and residual in the residual's buffer, so a search that finds no
-step forms the residual again at the unchanged iterate; at ``rho = 0`` the
-result's all-zero ``U`` is made only at exit.
+step forms the residual again at the unchanged iterate.  At ``rho = 0``
+`aapm` makes its result's all-zero ``U`` after the loop, and `cjoint` makes
+none.
 """
 
 from __future__ import annotations
@@ -175,7 +176,8 @@ class AapmResult(FactorResult):
 def _alternating_pg(op, T, Y, A, X, project_A, project_X, rho, max_iter,
                     eps_abs_tol, eps_rel_tol, callback) -> AapmResult:
     """The loop of `aapm` and `cjoint` (`aapm` gives the stopping rule); its
-    result holds the coefficient block `X` as `R` and ``X @ T`` as `F`."""
+    result holds the coefficient block `X` as `R`, ``X @ T`` as `F`, and
+    ``U = None`` at ``rho = 0``."""
     U = np.zeros_like(Y) if rho else None
     Yk = Y.copy() if rho else Y       # the shifted data Y + U, updated in place
     E = np.empty(Y.shape)             # the one residual buffer
@@ -260,8 +262,7 @@ def _alternating_pg(op, T, Y, A, X, project_A, project_X, rho, max_iter,
         elif k >= max_iter:
             stop_reason = "max_iter"
     return AapmResult(A=A, F=X @ T, history=history, stop_reason=stop_reason,
-                      step_failures=step_failures, R=X,
-                      U=U if rho else np.zeros_like(Y))
+                      step_failures=step_failures, R=X, U=U)
 
 
 @dataclass
@@ -324,9 +325,12 @@ def aapm(op: TomoOperator, T, Y: np.ndarray, n_materials: int,
         raise ValueError(f"data must be {(op.n_rays, T.shape[1])}, got {Y.shape}")
 
     A, R = _initial_point(op.n_image, M, D, cfg)
-    return _alternating_pg(
+    run = _alternating_pg(
         op, T, Y, A, R, project_material_map, project_doubly_capped,
         cfg.rho, cfg.max_iter, cfg.eps_abs_tol, cfg.eps_rel_tol, cfg.callback)
+    if run.U is None:                 # rho = 0 kept no running sum
+        run.U = np.zeros_like(Y)
+    return run
 
 
 def _initial_point(N, M, D, cfg: AapmConfig):

@@ -20,6 +20,11 @@ from .phantoms import MaterialMap
 #: counts are clamped here before the log so zero-count bins stay finite
 COUNT_FLOOR = 1.0
 
+#: most weight slots, zeros included, that one block of the simulation's
+#: 2x operator holds: ``n_det * 2 * max(nx, ny)`` per angle of the 2x grid,
+#: at about 12 bytes each (6 MiB)
+SIMULATE_BLOCK_SLOTS = 2 ** 19
+
 
 @dataclass(frozen=True)
 class AttenuationTable:
@@ -34,13 +39,13 @@ class AttenuationTable:
         mu = np.atleast_2d(np.asarray(self.mu, dtype=np.float64))
         if e.ndim != 1 or e.size < 2:
             raise ValueError("energy_grid must be a 1-D array with >= 2 points")
-        if np.any(np.diff(e) <= 0):
-            raise ValueError("energy_grid must be strictly ascending")
+        if not np.all(np.isfinite(e)) or np.any(np.diff(e) <= 0):
+            raise ValueError("energy_grid must be finite and strictly ascending")
         if mu.shape != (len(self.material_names), e.size):
             raise ValueError(f"mu must be ({len(self.material_names)}, {e.size}), "
                              f"got {mu.shape}")
-        if np.any(mu < 0):
-            raise ValueError("attenuation values must be nonnegative")
+        if not np.all(np.isfinite(mu)) or np.any(mu < 0):
+            raise ValueError("attenuation values must be finite and nonnegative")
         object.__setattr__(self, "energy_grid", e)
         object.__setattr__(self, "mu", mu)
 
@@ -53,8 +58,9 @@ class ChannelBinning:
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.centers, dtype=np.float64))
-        if c.size < 1 or np.any(np.diff(c) <= 0):
-            raise ValueError("channel centers must be nonempty and strictly ascending")
+        if c.size < 1 or not np.all(np.isfinite(c)) or np.any(np.diff(c) <= 0):
+            raise ValueError("channel centers must be nonempty, finite and strictly "
+                             "ascending")
         object.__setattr__(self, "centers", c)
 
     @property
@@ -97,8 +103,8 @@ class SpectralDictionary:
 
     def __post_init__(self):
         T = np.atleast_2d(np.asarray(self.T, dtype=np.float64))
-        if np.any(T < 0):
-            raise ValueError("dictionary entries must be nonnegative")
+        if not np.all(np.isfinite(T)) or np.any(T < 0):
+            raise ValueError("dictionary entries must be finite and nonnegative")
         if T.shape[0] != len(self.names):
             raise ValueError("one name per dictionary row required")
         object.__setattr__(self, "T", T)
@@ -162,12 +168,15 @@ def simulate_counts(phantom_hi: MaterialMap, recon_grid: Grid2D,
     """Photon counts for a phantom rendered at twice the reconstruction grid.
 
     The phantom must live on a grid exactly 2x finer than `recon_grid` per
-    axis (and covering the same area), so the simulated data never reuses
-    the reconstruction discretization.  Counts are
+    axis and covering the same area (same center), so the simulated data
+    never reuses the reconstruction discretization.  Counts are
     ``I0 * exp(-(W_hi A_hi F_true))`` per ray and channel, Poisson-sampled
     when `noise.poisson` and deterministic for a fixed `seed`.  ``W_hi`` is
-    built anew on every call, in two blocks of angles that are assembled
-    and applied one after the other, so at most half of it is held at once.
+    built anew on every call, in blocks of consecutive angles that are
+    assembled and applied one after the other: as few blocks as hold at
+    most ``SIMULATE_BLOCK_SLOTS`` weight slots each (a single angle with
+    more is a block of its own), of equal sizes up to one angle.  So the
+    memory the simulation holds does not grow with the size of ``W_hi``.
 
     Returns
     -------
@@ -179,19 +188,26 @@ def simulate_counts(phantom_hi: MaterialMap, recon_grid: Grid2D,
         raise ValueError(
             f"phantom grid {hi.nx}x{hi.ny}@{hi.pixel_size} is not the 2x refinement "
             f"{want.nx}x{want.ny}@{want.pixel_size} of the reconstruction grid")
+    if not np.allclose(hi.origin, want.origin):
+        raise ValueError(f"phantom grid origin {hi.origin} differs from the "
+                         f"reconstruction grid origin {want.origin}")
     F_true = np.atleast_2d(np.asarray(F_true, dtype=np.float64))
-    if np.any(F_true < 0):
-        raise ValueError("true spectra must be nonnegative")
+    if not np.all(np.isfinite(F_true)) or np.any(F_true < 0):
+        raise ValueError("true spectra must be finite and nonnegative")
     if F_true.shape[0] != phantom_hi.n_materials:
         raise ValueError(f"need one spectrum per material, got {F_true.shape[0]} "
                          f"for {phantom_hi.n_materials} materials")
-    # a 2x ray has twice the samples, so each half holds about as many
-    # weights as the reconstruction operator; rows are independent, so the
-    # stacked forwards equal one full forward bit for bit
+    if F_true.shape[1] != source.intensity.size:
+        raise ValueError(f"true spectra have {F_true.shape[1]} channels, "
+                         f"source has {source.intensity.size}")
+    # the fewest blocks within the budget, of as equal sizes as possible;
+    # rows are independent, so the stacked block forwards equal one full
+    # forward bit for bit
+    per_block = max(1, SIMULATE_BLOCK_SLOTS // (geometry.n_det * 2 * max(hi.nx, hi.ny)))
     WA_hi = np.vstack([
         TomoOperator(hi, ParallelGeometry(block, geometry.n_det, geometry.det_spacing))
         .forward(phantom_hi.A)
-        for block in np.array_split(geometry.angles, min(2, geometry.n_angles))])
+        for block in np.array_split(geometry.angles, -(-geometry.n_angles // per_block))])
     line_integrals = WA_hi @ F_true                               # (J, C)
     mean = source.intensity[None, :] * np.exp(-line_integrals)
     if noise is not None and noise.poisson:

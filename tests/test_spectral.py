@@ -14,7 +14,8 @@ from spectomo import (AttenuationTable, ChannelBinning, Grid2D, NoiseConfig,
                       kedge_dictionary, log_correct, select_channels,
                       simulate_counts)
 from spectomo.phantoms import MaterialMap
-from spectomo.spectral import COUNT_FLOOR, channel_pivot_order
+from spectomo import spectral
+from spectomo.spectral import COUNT_FLOOR, SIMULATE_BLOCK_SLOTS, channel_pivot_order
 
 from oracles import dense_reference_projector, greedy_column_selection, interp_oracle
 
@@ -63,8 +64,12 @@ class TestBinning:
     def test_table_validation(self):
         with pytest.raises(ValueError):
             table([10.0, 10.0], [[1.0, 2.0]])           # not ascending
-        with pytest.raises(ValueError):
-            table([10.0, 20.0], [[1.0, -2.0]])          # negative mu
+        for bad in (-2.0, np.nan, np.inf):              # negative or non-finite mu
+            with pytest.raises(ValueError, match="attenuation values must be finite"):
+                table([10.0, 20.0], [[1.0, bad]])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="energy_grid must be finite"):
+                table([10.0, bad], [[1.0, 2.0]])
 
 
 def simulation_setup(n=16, n_angles=8, channels=4, peak=0.15):
@@ -105,11 +110,16 @@ class TestSimulateCounts:
         expected = 1e4 * np.exp(-mu * chord)
         assert np.allclose(counts[:, 0], expected, rtol=1e-12)
 
-    @pytest.mark.parametrize("n_angles", [1, 2, 7])
-    def test_blocked_simulation_equals_one_forward(self, n_angles):
+    @pytest.mark.parametrize("n, n_angles", [
+        pytest.param(16, 1, id="1"), pytest.param(16, 2, id="2"),
+        pytest.param(16, 7, id="7"),
+        # 2x grid 128x128: blocks of 24, 23 and 23 angles
+        pytest.param(64, 70, id="three-blocks"),
+    ])
+    def test_blocked_simulation_equals_one_forward(self, n, n_angles):
         # the simulator forwards the 2x operator in blocks of angles; the
         # noiseless counts must equal those of the whole operator exactly
-        grid, geom, binning, dic, ph, F, src = simulation_setup(n_angles=n_angles)
+        grid, geom, binning, dic, ph, F, src = simulation_setup(n=n, n_angles=n_angles)
         counts = simulate_counts(ph, grid, geom, F, src)
         line_integrals = TomoOperator(ph.grid, geom).forward(ph.A) @ F
         expected = src.intensity[None, :] * np.exp(-line_integrals)
@@ -124,16 +134,68 @@ class TestSimulateCounts:
         c = simulate_counts(ph, grid, geom, F, src, noise=noise, seed=43)
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("n, n_angles, slots, sizes", [
+        pytest.param(64, 60, SIMULATE_BLOCK_SLOTS, [30, 30], id="64x64-60"),
+        pytest.param(64, 70, SIMULATE_BLOCK_SLOTS, [24, 23, 23], id="64x64-70"),
+        pytest.param(16, 7, 3 * 16 * 2 * 32, [3, 2, 2], id="uneven"),
+        pytest.param(16, 3, 1000, [1, 1, 1], id="one-angle-over-budget"),
+    ])
+    def test_blocks_stay_within_slot_budget(self, monkeypatch, n, n_angles, slots,
+                                            sizes):
+        # the fewest blocks whose operators hold at most the budgeted weight
+        # slots (n_det * 2 * max(nx, ny) per angle), unless one angle alone
+        # exceeds it, and the blocks run through the angles in order
+        built = []
+
+        class Recording(TomoOperator):
+            def __post_init__(self):
+                built.append(self.geometry)
+                super().__post_init__()
+
+        monkeypatch.setattr(spectral, "SIMULATE_BLOCK_SLOTS", slots)
+        monkeypatch.setattr(spectral, "TomoOperator", Recording)
+        grid, geom, binning, dic, ph, F, src = simulation_setup(n=n, n_angles=n_angles)
+        simulate_counts(ph, grid, geom, F, src)
+        per_angle = geom.n_det * 2 * max(ph.grid.nx, ph.grid.ny)
+        assert [b.n_angles for b in built] == sizes
+        assert all(b.n_angles == 1 or b.n_angles * per_angle <= slots for b in built)
+        assert np.array_equal(np.concatenate([b.angles for b in built]), geom.angles)
+        assert all((b.n_det, b.det_spacing) == (geom.n_det, geom.det_spacing)
+                   for b in built)
+
     def test_grid_ratio_mismatch_rejected(self):
         grid, geom, binning, dic, ph, F, src = simulation_setup()
         wrong = disks(grid.nx, 2, grid=grid)        # not refined
         with pytest.raises(ValueError):
             simulate_counts(wrong, grid, geom, F, src)
 
+    def test_grid_origin_mismatch_rejected(self):
+        # right size and pixel size, but centered elsewhere: the rays would
+        # cross the phantom off its place
+        grid, geom, binning, dic, ph, F, src = simulation_setup()
+        shifted = disks(32, 2, grid=Grid2D(32, 32, 0.5, origin=(3.0, -2.0)))
+        with pytest.raises(ValueError, match=r"\(3\.0, -2\.0\).*\(0\.0, 0\.0\)"):
+            simulate_counts(shifted, grid, geom, F, src)
+
+    @pytest.mark.parametrize("n_source", [1, 3])
+    def test_source_channel_mismatch_rejected(self, n_source):
+        # a one-channel source would broadcast over every channel unnoticed
+        grid, geom, binning, dic, ph, F, src = simulation_setup(channels=4)
+        with pytest.raises(ValueError, match="true spectra have 4 channels, source has"):
+            simulate_counts(ph, grid, geom, F, SourceSpectrum.flat(n_source))
+
     def test_negative_spectra_rejected(self):
         grid, geom, binning, dic, ph, F, src = simulation_setup()
         with pytest.raises(ValueError):
             simulate_counts(ph, grid, geom, -F, src)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_spectra_rejected(self, bad):
+        grid, geom, binning, dic, ph, F, src = simulation_setup()
+        F = F.copy()
+        F[1, 2] = bad
+        with pytest.raises(ValueError, match="true spectra must be finite"):
+            simulate_counts(ph, grid, geom, F, src)
 
 
 class TestLogCorrect:
@@ -284,9 +346,19 @@ class TestValidationTypes:
         with pytest.raises(ValueError):
             SpectralDictionary(T=np.array([[-1.0]]), names=["x"])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_dictionary_finite(self, bad):
+        with pytest.raises(ValueError, match="dictionary entries must be finite"):
+            SpectralDictionary(T=np.array([[0.5, bad]]), names=["x"])
+
     def test_binning_ascending(self):
         with pytest.raises(ValueError):
             ChannelBinning(np.array([2.0, 1.0]))
+
+    @pytest.mark.parametrize("centers", [[np.nan], [1.0, np.inf], [np.nan, 2.0]])
+    def test_binning_finite(self, centers):
+        with pytest.raises(ValueError, match="channel centers must be nonempty, finite"):
+            ChannelBinning(np.array(centers))
 
     def test_noise_config_nonnegative(self):
         with pytest.raises(ValueError):
