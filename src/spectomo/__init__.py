@@ -2,7 +2,7 @@
 unmixing solvers, baselines, and evaluation."""
 
 from .tomo import Grid2D, ParallelGeometry, TomoOperator, equispaced_angles
-from .phantoms import MaterialMap, disks, mixed_disks, shepp_logan, upsample
+from .phantoms import MaterialMap, disks, mixed_disks, shepp_logan
 from .projections import (in_capped_rows, in_doubly_capped,
                           project_cols_capped_simplex, project_doubly_capped,
                           project_material_map, project_rows_capped_simplex)

@@ -346,7 +346,7 @@ _FLAGS = {
 
 def _resolve_config(args) -> tuple[RunConfig, Path]:
     if not args.config:
-        raise SystemExit("error: --config is required for this command")
+        raise FormatError("--config is required for this command")
 
     def override(raw):
         if args.preset:
@@ -413,7 +413,7 @@ def _required_out(args) -> Path:
         return Path(args.out)
     if args.config:
         return Path(data_io.config_output_dir(args.config))
-    raise SystemExit("error: --out (or --config with output_dir) is required")
+    raise FormatError("--out (or --config with output_dir) is required")
 
 
 if __name__ == "__main__":

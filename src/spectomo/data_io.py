@@ -50,13 +50,14 @@ class FormatError(ValueError):
 # ---------------------------------------------------------------------------
 
 def load_attenuation_csv(path) -> AttenuationTable:
-    """Read an attenuation table: header ``energy_keV,<mat1>,...``, one row
-    per energy, energies strictly ascending, values nonnegative."""
+    """Read a table of curves on one energy grid, attenuations or a source
+    spectrum: header ``energy_keV,<name1>,...``, one row per energy,
+    energies strictly ascending, values nonnegative."""
     path = Path(path)
     lines = _read_csv_lines(path)
     header = lines[0][1]
     if len(header) < 2 or header[0] != "energy_keV":
-        raise FormatError(f"{path}:1: header must be 'energy_keV,<mat1>,...', "
+        raise FormatError(f"{path}:1: header must be 'energy_keV,<name1>,...', "
                           f"got {','.join(header)!r}")
     names = header[1:]
     energies, rows = [], []
@@ -69,7 +70,7 @@ def load_attenuation_csv(path) -> AttenuationTable:
             raise FormatError(f"{path}:{ln}: energy {values[0]} does not "
                               f"ascend past {energies[-1]}")
         if any(v < 0 for v in values[1:]):
-            raise FormatError(f"{path}:{ln}: negative attenuation value")
+            raise FormatError(f"{path}:{ln}: negative value")
         energies.append(values[0])
         rows.append(values[1:])
     if len(energies) < 2:
@@ -88,38 +89,21 @@ def save_attenuation_csv(path, table: AttenuationTable) -> None:
             fh.write(f"{_fmt(e)},{row}\n")
 
 
-def load_source_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a source spectrum: header ``energy_keV,intensity``."""
-    path = Path(path)
-    lines = _read_csv_lines(path)
-    if lines[0][1] != ["energy_keV", "intensity"]:
-        raise FormatError(f"{path}:1: header must be 'energy_keV,intensity'")
-    energies, intensities = [], []
-    for ln, fields in lines[1:]:
-        if len(fields) != 2:
-            raise FormatError(f"{path}:{ln}: expected 2 fields, got {len(fields)}")
-        e = _parse_float(path, ln, fields[0])
-        i = _parse_float(path, ln, fields[1])
-        if energies and e <= energies[-1]:
-            raise FormatError(f"{path}:{ln}: energies must ascend")
-        if i <= 0:
-            raise FormatError(f"{path}:{ln}: intensity must be positive")
-        energies.append(e)
-        intensities.append(i)
-    if len(energies) < 2:
-        raise FormatError(f"{path}: need at least two rows")
-    return np.array(energies), np.array(intensities)
-
-
 def source_from_csv(path, binning: ChannelBinning, scale: float = 1.0) -> SourceSpectrum:
-    """Interpolate a tabulated source spectrum at the channel centers."""
-    energies, intensities = load_source_csv(path)
-    c = binning.centers
-    if c[0] < energies[0] or c[-1] > energies[-1]:
-        raise FormatError(
-            f"{path}: channel centers [{c[0]}, {c[-1]}] keV outside the "
-            f"tabulated range [{energies[0]}, {energies[-1]}] keV")
-    return SourceSpectrum(scale * np.interp(c, energies, intensities))
+    """A tabulated source spectrum, header ``energy_keV,intensity``, times
+    `scale`: a one-column table read and sampled at the channel centers as
+    a dictionary is, with every intensity positive."""
+    table = load_attenuation_csv(path)
+    if table.material_names != ["intensity"]:
+        raise FormatError(f"{path}:1: header must be 'energy_keV,intensity'")
+    zero = table.energy_grid[table.mu[0] <= 0]
+    if zero.size:
+        raise FormatError(f"{path}: intensity at {zero[0]} keV must be positive")
+    try:
+        dictionary = spectral.bin_attenuation(table, binning)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    return SourceSpectrum(scale * dictionary.T[0])
 
 
 def _read_csv_lines(path: Path):
@@ -267,9 +251,10 @@ class RunConfig:
         return _value(phantom[key], key, int)
 
     def phantom_map(self, grid: Grid2D) -> phantoms.MaterialMap:
-        """Render the phantom on `grid`; the generator checks its own limits."""
+        """Render the phantom on `grid`; a limit of its generator raises a
+        `FormatError` naming the phantom section."""
         generate = getattr(phantoms, self.section("phantom")["kind"])
-        return generate(grid.nx, self.n_phantom_materials(), grid=grid)
+        return _build("phantom", generate, grid.nx, self.n_phantom_materials(), grid)
 
     def spectral_dictionary(self, binning: ChannelBinning) -> SpectralDictionary:
         spec = self.section("dictionary")
@@ -416,7 +401,8 @@ def parse_config(raw: dict, base_dir: Path | str = ".") -> RunConfig:
     read through `_value`, and every section the commands build is built
     here once, so a bad one fails before anything is simulated or written,
     with a `FormatError` that starts with its name; only the phantom
-    generator's own limits wait for `simulate`."""
+    generator's own limits wait for `simulate`, which reports them the
+    same way."""
     _check_object(raw)
     raw = copy.deepcopy(raw)
     version = raw.get("config_version")

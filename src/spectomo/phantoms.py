@@ -147,19 +147,6 @@ def mixed_disks(n: int, n_materials: int, grid: Grid2D | None = None) -> Materia
                        labels=[f"material_{m}" for m in range(n_materials)])
 
 
-def upsample(material_map: MaterialMap, factor: int) -> MaterialMap:
-    """Replicate each pixel `factor` times per axis (nearest neighbour)."""
-    if factor < 1 or int(factor) != factor:
-        raise ValueError("factor must be a positive integer")
-    if factor == 1:
-        return material_map
-    g = material_map.grid
-    cols = [np.kron(material_map.column_image(m), np.ones((factor, factor))).ravel()
-            for m in range(material_map.n_materials)]
-    return MaterialMap(A=np.column_stack(cols), grid=g.refine(factor),
-                       labels=list(material_map.labels))
-
-
 def _ring_centers(radius: float, count: int) -> list[tuple[float, float]]:
     phi = 2.0 * np.pi * np.arange(count) / count
     return [(radius * np.cos(p), radius * np.sin(p)) for p in phi]

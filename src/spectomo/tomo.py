@@ -32,6 +32,12 @@ import numpy as np
 from scipy import sparse
 
 
+def _check_count(name: str, value) -> None:
+    """Reject a count that is not an integer (a bool or a float)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Grid2D:
     """Uniform pixel grid; `origin` is the physical location of its center."""
@@ -42,10 +48,15 @@ class Grid2D:
     origin: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
+        _check_count("nx", self.nx)
+        _check_count("ny", self.ny)
         if self.nx < 1 or self.ny < 1:
             raise ValueError(f"grid must have at least one pixel, got {self.nx}x{self.ny}")
-        if not self.pixel_size > 0:
-            raise ValueError(f"pixel_size must be positive, got {self.pixel_size}")
+        if not 0 < self.pixel_size < np.inf:
+            raise ValueError("pixel_size must be positive and finite, "
+                             f"got {self.pixel_size}")
+        if not (len(self.origin) == 2 and np.all(np.isfinite(self.origin))):
+            raise ValueError(f"origin must be two finite numbers, got {self.origin}")
 
     @property
     def n_pixels(self) -> int:
@@ -55,7 +66,7 @@ class Grid2D:
         """Grid covering the same physical area with `factor`-times finer pixels."""
         if factor < 1 or int(factor) != factor:
             raise ValueError("refinement factor must be a positive integer")
-        return Grid2D(self.nx * factor, self.ny * factor,
+        return Grid2D(self.nx * int(factor), self.ny * int(factor),
                       self.pixel_size / factor, self.origin)
 
 
@@ -73,10 +84,12 @@ class ParallelGeometry:
             raise ValueError("angles must be nonempty")
         if not np.all(np.isfinite(angles)):
             raise ValueError("angles must be finite")
+        _check_count("n_det", self.n_det)
         if self.n_det < 1:
             raise ValueError(f"n_det must be >= 1, got {self.n_det}")
-        if not self.det_spacing > 0:
-            raise ValueError(f"det_spacing must be positive, got {self.det_spacing}")
+        if not 0 < self.det_spacing < np.inf:
+            raise ValueError("det_spacing must be positive and finite, "
+                             f"got {self.det_spacing}")
         object.__setattr__(self, "angles", angles)
 
     @property

@@ -407,6 +407,40 @@ class TestRunDirectory:
         assert 0.0 <= cli.cmd_evaluate(run)["ssim_avg"] <= 1.0
         assert len(cli.cmd_sweep_rho(run, rho_list=(0.01,), max_iter=2)) == 1
 
+    def test_csv_inputs_output_bytes_match_recorded_run(self, tmp_path):
+        # digests recorded from a run of the same inputs while the source
+        # CSV still had a reader of its own; a blank line and a scale too
+        (tmp_path / "mu.csv").write_text(
+            "energy_keV,a,b,c,d\n"
+            "0,4.5,3,2.25,1\n"
+            "10,2.5,1.75,1.5,0.75\n"
+            "20,1.25,4,1,0.5\n"
+            "30,0.75,2,3.5,0.375\n"
+            "40,0.5,1.25,2,0.25\n")
+        (tmp_path / "source.csv").write_text(
+            "energy_keV,intensity\n0,9000\n\n20,11000.5\n40,7000.25\n")
+        cfg = parse_config(tiny_config(
+            dictionary={"type": "csv", "path": "mu.csv"},
+            source={"type": "csv", "path": "source.csv", "scale": 1.5}),
+            base_dir=tmp_path)
+        run = tmp_path / "run"
+        cli.cmd_simulate(cfg, run)
+        digests = {
+            "sinogram.adjm": "4b43b73c8f4ae8a4afc00824e198586e62757fc066f7726c10101dbf8dee16f2",
+            "ground_truth.adjm": "7559aa6fc7be38954818e45bf6594ba5386dabe46b3112de1e8794e1711b8ca0",
+            "spectra_true.adjm": "f0a6b685338ec6d4b362e296dcfe911d20391838610b44ea211095b2e432a486",
+            "dictionary.adjm": "e70a294f6bcfcaac59c417f8af267bd0ee07d118bc7fb88f26ba417890476ecb",
+        }
+        for name, digest in digests.items():
+            assert hashlib.sha256((run / name).read_bytes()).hexdigest() == digest
+        manifest = json.loads((run / "manifest.json").read_text())
+        assert manifest["source_intensity"] == [
+            14250.1875, 15375.46875, 16500.75, 14250.609375, 12000.46875]
+        del manifest["config"]["dictionary"]["path"]
+        del manifest["config"]["source"]["path"]
+        assert hashlib.sha256(json.dumps(manifest, indent=2).encode()).hexdigest() == (
+            "e156b80e70f365dc6d89cbc69f588ceb89f40679b6abf9e5e80bbde0c5592aec")
+
     def test_config_only_locates_the_run_directory(self, tmp_path):
         energies = np.arange(0.0, 61.0, 2.0)
         mu = np.array([np.exp(-energies / s) + 0.01 for s in (5, 10, 20, 40)])
@@ -675,9 +709,30 @@ class TestMainEntry:
         for sub in ("simulate", "reconstruct", "evaluate", "sweep-rho", "pipeline"):
             assert sub in text
 
-    def test_missing_config_reports_error(self):
-        with pytest.raises(SystemExit):
-            cli.main(["simulate"])
+    @pytest.mark.parametrize("command", ["reconstruct", "evaluate", "sweep-rho"])
+    def test_missing_run_directory_flag_is_one_error_line(self, tmp_path,
+                                                          monkeypatch, capsys,
+                                                          command):
+        monkeypatch.chdir(tmp_path)
+        assert_error_line(capsys, [command], re.escape(
+            "--out (or --config with output_dir) is required"))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_phantom_generator_limit_is_one_error_line(self, tmp_path, capsys):
+        raw = tiny_config(output_dir=str(tmp_path / "out"),
+                          phantom={"kind": "shepp_logan", "size": 8,
+                                   "materials": 3})
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert_error_line(capsys, ["simulate", "--config", str(cfg_path)],
+                          "phantom section invalid: shepp_logan needs n >= 16")
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_config_reports_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert_error_line(capsys, ["simulate"],
+                          "--config is required for this command$")
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_benchmark_tracer_wraps_a_tiny_pipeline(tmp_path):

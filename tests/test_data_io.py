@@ -11,9 +11,9 @@ import pytest
 from spectomo import (FormatError, MatchResult, export_pgm16,
                       load_attenuation_csv, load_matrix, parse_config,
                       save_attenuation_csv, save_matrix)
-from spectomo.data_io import (METHOD_PARAMS, load_config, load_source_csv,
-                              method_config, source_from_csv,
-                              write_history_csv, write_results_csv)
+from spectomo.data_io import (METHOD_PARAMS, load_config, method_config,
+                              source_from_csv, write_history_csv,
+                              write_results_csv)
 from spectomo.solvers import IterationRecord
 from spectomo.spectral import ChannelBinning, kedge_attenuation_table
 
@@ -83,19 +83,42 @@ class TestAttenuationCsv:
 
 
 class TestSourceCsv:
-    def test_round_trip_and_binning(self, tmp_path):
+    """A source CSV is a one-column attenuation table named `intensity`."""
+
+    def write(self, tmp_path, text):
         path = tmp_path / "src.csv"
-        path.write_text("energy_keV,intensity\n5.0,100.0\n35.0,400.0\n")
-        energies, intensity = load_source_csv(path)
-        assert np.array_equal(energies, [5.0, 35.0])
-        src = source_from_csv(path, ChannelBinning(np.array([20.0])))
-        assert src.intensity[0] == pytest.approx(250.0)
+        path.write_text(text)
+        return path
+
+    def test_round_trip_and_binning(self, tmp_path):
+        path = self.write(tmp_path, "energy_keV,intensity\n5.0,100.0\n35.0,400.0\n")
+        src = source_from_csv(path, ChannelBinning(np.array([5.0, 20.0, 35.0])))
+        assert src.intensity.tolist() == [100.0, 250.0, 400.0]
+
+    @pytest.mark.parametrize("header, values", [("energy_keV,counts", "1"),
+                                                ("energy_keV,intensity,extra", "1,1")])
+    def test_another_header_rejected(self, tmp_path, header, values):
+        path = self.write(tmp_path, f"{header}\n5,{values}\n35,{values}\n")
+        with pytest.raises(FormatError, match=r"src\.csv:1: header must be "
+                                              r"'energy_keV,intensity'$"):
+            source_from_csv(path, ChannelBinning(np.array([20.0])))
 
     def test_nonpositive_intensity_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("energy_keV,intensity\n5.0,0.0\n35.0,1.0\n")
-        with pytest.raises(FormatError):
-            load_source_csv(path)
+        path = self.write(tmp_path, "energy_keV,intensity\n5.0,1.0\n20.0,0.0\n35.0,1.0\n")
+        with pytest.raises(FormatError, match="intensity at 20.0 keV must be positive"):
+            source_from_csv(path, ChannelBinning(np.array([10.0])))
+
+    def test_negative_intensity_reports_line(self, tmp_path):
+        path = self.write(tmp_path, "energy_keV,intensity\n5.0,1.0\n35.0,-1.0\n")
+        with pytest.raises(FormatError, match=r"src\.csv:3: negative value"):
+            source_from_csv(path, ChannelBinning(np.array([10.0])))
+
+    def test_centers_outside_the_table_name_the_file(self, tmp_path):
+        path = self.write(tmp_path, "energy_keV,intensity\n5.0,1.0\n35.0,1.0\n")
+        with pytest.raises(FormatError, match=re.escape(
+                f"{path}: channel centers [20.0, 40.0] keV fall outside the "
+                "tabulated range [5.0, 35.0] keV")):
+            source_from_csv(path, ChannelBinning(np.array([20.0, 40.0])))
 
 
 class TestMatrixFormat:
@@ -268,6 +291,23 @@ class TestRunConfig:
     def test_unbuildable_section_rejected(self, section, override):
         with pytest.raises(FormatError, match=f"^{section} section"):
             parse_config(valid_config(**override))
+
+    @pytest.mark.parametrize("section, override", [
+        ("phantom", {"phantom": {"kind": "disks", "size": 32, "count": 4,
+                                 "pixel_size": float("inf")}}),
+        ("geometry", {"geometry": {"angles": {"count": 20, "stop": np.pi},
+                                   "detectors": 32,
+                                   "detector_spacing": float("inf")}}),
+    ], ids=["pixel_size", "detector_spacing"])
+    def test_infinite_spacing_in_a_config_file_rejected(self, tmp_path, section,
+                                                        override):
+        # the JSON reader accepts Infinity
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(valid_config(**override)))
+        assert "Infinity" in path.read_text()
+        with pytest.raises(FormatError, match=f"^{section} section invalid: "
+                                              ".* must be positive and finite"):
+            load_config(path)
 
     @pytest.mark.parametrize("method,params", [
         ("adjust", {"bogus": 1}),

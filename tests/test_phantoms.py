@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import nnls
 
-from spectomo import Grid2D, disks, mixed_disks, shepp_logan, upsample
+from spectomo import Grid2D, disks, mixed_disks, shepp_logan
 from spectomo.phantoms import (_DISK_RADIUS, _DISK_RING_RADIUS, MaterialMap)
 
 
@@ -131,36 +131,6 @@ class TestMixedDisks:
         m = mixed_disks(256, 6)          # 6 pure + 15 mixed disks
         assert np.all(m.A.sum(axis=0) > 0)
         assert np.all(m.A.sum(axis=1) <= 1.0)
-
-
-class TestUpsample:
-    def test_identity_factor(self):
-        m = disks(32, 3)
-        assert upsample(m, 1) is m
-
-    def test_block_replication(self):
-        grid = Grid2D(2, 2)
-        A = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [1.0, 0.0]])
-        m = MaterialMap(A=A, grid=grid, labels=["a", "b"])
-        up = upsample(m, 2)
-        assert up.grid.nx == 4
-        img = up.column_image(0)
-        assert np.array_equal(img[:2, :2], np.ones((2, 2)))   # top-left block
-        assert np.array_equal(img[:2, 2:], np.zeros((2, 2)))
-
-    def test_mass_scales_with_factor_squared(self):
-        m = disks(32, 4)
-        up = upsample(m, 3)
-        assert np.allclose(up.A.sum(axis=0), 9 * m.A.sum(axis=0))
-
-    def test_row_sum_invariants_preserved(self):
-        m = mixed_disks(64, 3)
-        up = upsample(m, 2)
-        assert np.all(up.A.sum(axis=1) <= 1.0)
-
-    def test_bad_factor(self):
-        with pytest.raises(ValueError):
-            upsample(disks(32, 2), 0)
 
 
 class TestResolutionConsistency:

@@ -29,6 +29,40 @@ class TestValidation:
         with pytest.raises(ValueError):
             Grid2D(4, 4, pixel_size=0.0)
 
+    @pytest.mark.parametrize("nx", [4.5, True, "4"], ids=["float", "bool", "str"])
+    def test_grid_rejects_a_size_that_is_not_an_integer(self, nx):
+        with pytest.raises(TypeError, match="nx must be an integer"):
+            Grid2D(nx, 4)
+        with pytest.raises(TypeError, match="ny must be an integer"):
+            Grid2D(4, nx)
+
+    def test_grid_accepts_numpy_integer_sizes(self):
+        assert Grid2D(np.int64(4), np.int32(3)).n_pixels == 12
+
+    @pytest.mark.parametrize("origin", [(np.nan, 0.0), (0.0, np.inf), (0.0,)],
+                             ids=["nan", "inf", "one-number"])
+    def test_grid_rejects_a_bad_origin(self, origin):
+        with pytest.raises(ValueError, match="origin must be two finite numbers"):
+            Grid2D(4, 4, origin=origin)
+
+    @pytest.mark.parametrize("size", [np.inf, np.nan])
+    def test_grid_rejects_a_pixel_size_that_is_not_finite(self, size):
+        with pytest.raises(ValueError, match="pixel_size must be positive and finite"):
+            Grid2D(4, 4, pixel_size=size)
+
+    def test_refine_by_an_integral_float(self):
+        assert Grid2D(4, 4).refine(2.0) == Grid2D(8, 8, 0.5)
+
+    @pytest.mark.parametrize("n_det", [2.5, True], ids=["float", "bool"])
+    def test_geometry_rejects_a_detector_count_that_is_not_an_integer(self, n_det):
+        with pytest.raises(TypeError, match="n_det must be an integer"):
+            ParallelGeometry(angles=np.array([0.0]), n_det=n_det)
+
+    @pytest.mark.parametrize("spacing", [np.inf, np.nan, 0.0])
+    def test_geometry_rejects_a_bad_detector_spacing(self, spacing):
+        with pytest.raises(ValueError, match="det_spacing must be positive and finite"):
+            ParallelGeometry(angles=np.array([0.0]), n_det=4, det_spacing=spacing)
+
     def test_geometry_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             ParallelGeometry(angles=np.array([]), n_det=4)
