@@ -11,6 +11,7 @@ outputs.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 import time
@@ -30,6 +31,14 @@ PRESETS = {"full": (180, np.pi, False), "sparse-angle": (10, np.pi, False),
            "sparse-channel": (60, np.pi, True)}
 _PRESET_CHOICES = f"{', '.join(PRESETS)} or noisy-<percent>"
 DEFAULT_RHO_SWEEP = (0.0, 0.01, 0.1)
+
+# glibc's malloc keeps freed pages inside its heap (all but a large enough
+# free top), and how many depends on where the arrays happened to land: the
+# operator's weight buffer goes on the heap or into its own mapping as the
+# heap's free space allows.  malloc_trim(0) hands every whole free page
+# back; None where the C library has no such call.
+_MALLOC_TRIM = (getattr(ctypes.CDLL(None), "malloc_trim", None)
+                if sys.platform.startswith("linux") else None)
 
 
 def apply_preset(raw: dict, name: str) -> dict:
@@ -147,6 +156,11 @@ def cmd_reconstruct(out_dir: Path, method: str | None = None,
     t0 = time.perf_counter()
     result = _solve(method, problem, params, seed, method_dir / "history.csv")
     elapsed = time.perf_counter() - t0
+    # the operator and the solver's temporaries are freed here; hand their
+    # pages back, so the commands after this one in the process do not keep them
+    del problem
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
 
     if method == "adjust":
         data_io.save_matrix(method_dir / "coeffs.adjm", result.R)

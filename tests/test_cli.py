@@ -143,6 +143,13 @@ class TestReconstructEvaluate:
         assert meta["stop_reason"] == reason
         assert meta["step_failures"] == failures
 
+    def test_reconstruct_hands_free_heap_pages_back(self, run_dir, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "_MALLOC_TRIM", calls.append)
+        cli.cmd_reconstruct(run_dir, method="ru",
+                            method_params={"nmf_restarts": 1, "nmf_iters": 5})
+        assert calls == [0]
+
     def test_history_has_iteration_rows(self, run_dir):
         method_dir = cli.cmd_reconstruct(run_dir, method="adjust",
                                          method_params={"max_iter": 6,
