@@ -75,31 +75,25 @@ def apply_preset(raw: dict, name: str) -> dict:
 def cmd_simulate(cfg: RunConfig, out_dir: Path) -> dict:
     """Render the phantom at twice the target resolution, simulate counts,
     log-correct, and write all artifacts the later stages need.  Nothing is
-    written until every section is built and the phantoms are rendered."""
+    written until the phantoms are rendered."""
     out_dir = Path(out_dir)
     grid = cfg.grid()
     geom = cfg.parallel_geometry()
-    binning = cfg.channel_binning()
-    dictionary = cfg.spectral_dictionary(binning)
-    source = cfg.source_spectrum(binning)
-    noise = cfg.noise_config()
-    rows = cfg.dictionary_rows(dictionary.n_materials)
-    k = cfg.channel_count(dictionary.n_materials, binning.n_channels)
     phantom_lo = cfg.phantom_map(grid)
     phantom_hi = cfg.phantom_map(grid.refine(2))
 
-    T = dictionary.T
-    F_true = T[rows]
-    counts = spectral.simulate_counts(phantom_hi, grid, geom, F_true, source,
-                                      noise=noise, seed=cfg.seed)
-    Y = spectral.add_gaussian_noise(spectral.log_correct(counts, source).Y,
-                                    noise.gaussian_percent, seed=cfg.seed + 1)
+    T = cfg.dictionary.T
+    F_true = T[cfg.material_rows]
+    counts = spectral.simulate_counts(phantom_hi, grid, geom, F_true, cfg.source,
+                                      noise=cfg.noise, seed=cfg.seed)
+    Y = spectral.add_gaussian_noise(spectral.log_correct(counts, cfg.source).Y,
+                                    cfg.noise.gaussian_percent, seed=cfg.seed + 1)
 
     selected = None
-    centers = binning.centers
-    intensity = source.intensity
-    if k is not None:
-        selected = spectral.select_channels(T, k)
+    centers = cfg.binning.centers
+    intensity = cfg.source.intensity
+    if cfg.channel_count is not None:
+        selected = spectral.select_channels(T, cfg.channel_count)
         Y = Y[:, selected]
         T = T[:, selected]
         F_true = F_true[:, selected]
@@ -125,10 +119,10 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> dict:
         "channel_centers": centers.tolist(),
         "source_intensity": intensity.tolist(),
         "selected_channels": None if selected is None else selected.tolist(),
-        "n_materials": int(cfg.n_phantom_materials()),
-        "material_rows": rows.tolist(),
+        "n_materials": cfg.material_rows.size,
+        "material_rows": cfg.material_rows.tolist(),
         "material_labels": list(phantom_lo.labels),
-        "dictionary_names": list(dictionary.names),
+        "dictionary_names": list(cfg.dictionary.names),
         "files": files,
     }
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
@@ -187,9 +181,12 @@ def cmd_evaluate(out_dir: Path, method: str | None = None) -> dict:
         raise FileNotFoundError(f"no reconstruction for {method!r} in {out_dir}")
 
     t0 = time.perf_counter()
+    A_gt = data_io.load_matrix(out_dir / manifest["files"]["ground_truth"])
+    _check_shape(method_dir / "maps.adjm", A_gt.shape)
+    _check_shape(method_dir / "spectra.adjm",
+                 (manifest["n_materials"], len(manifest["channel_centers"])))
     A_rec = data_io.load_matrix(method_dir / "maps.adjm")
     F_rec = data_io.load_matrix(method_dir / "spectra.adjm")
-    A_gt = data_io.load_matrix(out_dir / manifest["files"]["ground_truth"])
     match = evaluation.greedy_match(A_rec, A_gt)
 
     results_path = method_dir / "results.csv"
@@ -284,14 +281,29 @@ def _configured_params(manifest: dict, method: str) -> dict:
 
 def _load_problem(out_dir: Path, manifest: dict):
     """The operator, data, dictionary and material count of a simulated run,
-    read from its manifest and files alone."""
+    read from its manifest and files alone; a file whose shape disagrees
+    with the manifest fails before the operator is built.  The data are
+    loaded after the build, whose transients they would otherwise add to."""
     files, g = manifest["files"], manifest["grid"]
+    n_channels = len(manifest["channel_centers"])
+    _check_shape(out_dir / files["sinogram"],
+                 (len(manifest["angles"]) * manifest["n_det"], n_channels))
+    _check_shape(out_dir / files["dictionary"],
+                 (len(manifest["dictionary_names"]), n_channels))
     geometry = ParallelGeometry(angles=manifest["angles"], n_det=manifest["n_det"],
                                 det_spacing=manifest["det_spacing"])
     return (TomoOperator(Grid2D(g["nx"], g["ny"], g["pixel_size"]), geometry),
             data_io.load_matrix(out_dir / files["sinogram"]),
             data_io.load_matrix(out_dir / files["dictionary"]),
             manifest["n_materials"])
+
+
+def _check_shape(path: Path, shape: tuple) -> None:
+    """Raise a `FormatError` naming both shapes if the matrix file `path` of
+    the run directory is not of `shape`."""
+    found = data_io.matrix_shape(path)
+    if found != shape:
+        raise FormatError(f"{path}: holds a {found} matrix, expected {shape}")
 
 
 def _solve(method: str, problem, params: dict, seed: int, history_path: Path):
@@ -372,7 +384,7 @@ def _resolve_config(args) -> tuple[RunConfig, Path]:
         return raw
 
     cfg = load_config(args.config, override)
-    out_dir = Path(args.out) if args.out else Path(cfg.output_dir)
+    out_dir = Path(args.out) if args.out else Path(cfg.raw["output_dir"])
     return cfg, out_dir
 
 

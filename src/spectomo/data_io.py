@@ -152,17 +152,29 @@ def save_matrix(path, matrix: np.ndarray) -> None:
 def load_matrix(path) -> np.ndarray:
     path = Path(path)
     blob = path.read_bytes()
-    if blob[:4] != MATRIX_MAGIC:
-        raise FormatError(f"{path}: bad magic {blob[:4]!r}")
-    if len(blob) < 12:
-        raise FormatError(f"{path}: truncated header")
-    rows, cols = struct.unpack("<II", blob[4:12])
+    rows, cols = _matrix_header(path, blob[:12])
     expected = 12 + rows * cols * 8
     if len(blob) != expected:
         raise FormatError(f"{path}: expected {expected} bytes for "
                           f"{rows}x{cols}, got {len(blob)}")
     data = np.frombuffer(blob, dtype="<f8", offset=12)
     return data.reshape(rows, cols).astype(np.float64)
+
+
+def matrix_shape(path) -> tuple[int, int]:
+    """The (rows, cols) in the header of the matrix file at `path`, read
+    without its payload."""
+    path = Path(path)
+    with open(path, "rb") as fh:
+        return _matrix_header(path, fh.read(12))
+
+
+def _matrix_header(path: Path, head: bytes) -> tuple[int, int]:
+    if head[:4] != MATRIX_MAGIC:
+        raise FormatError(f"{path}: bad magic {head[:4]!r}")
+    if len(head) < 12:
+        raise FormatError(f"{path}: truncated header")
+    return struct.unpack("<II", head[4:12])
 
 
 # ---------------------------------------------------------------------------
@@ -187,148 +199,50 @@ def export_pgm16(path, image: np.ndarray, vmin: float, vmax: float) -> None:
 # run configuration
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Validated experiment description; see docs/formats.md for the schema.
+    """A checked experiment description; see docs/formats.md for the schema.
 
-    `raw` is the one copy of the config.  Each section is built from it by
-    one method below.  `simulate` calls them, and `parse_config` calls all
-    but `phantom_map` to check the sections.  The commands after `simulate`
-    never see a `RunConfig`: they read the run directory, whose manifest
-    records the geometry `simulate` used and keeps `raw` for the method and
-    its `method_params`."""
+    `parse_config` builds every section once and keeps it here, so the CSV
+    files are read once, and `simulate` uses what was checked.  `raw` is
+    the checked config, read for its strings (`method`, `output_dir`,
+    `phantom.kind`) and recorded whole in the manifest.  The commands after
+    `simulate` never see a `RunConfig`: they read the run directory, whose
+    manifest records the geometry `simulate` used and keeps `raw` for the
+    method and its `method_params`."""
 
-    method: str
-    output_dir: str
-    seed: int
     raw: dict
-
-    def section(self, name: str) -> dict:
-        """The config section `name`, which must be a JSON object."""
-        return _value(self.raw.get(name, {}), name, dict)
+    seed: int
+    binning: ChannelBinning
+    dictionary: SpectralDictionary
+    source: SourceSpectrum
+    noise: NoiseConfig
+    material_rows: np.ndarray       # the dictionary row of each phantom material
+    channel_count: int | None       # the channels `channel_selection` keeps
 
     def grid(self) -> Grid2D:
-        phantom = self.section("phantom")
-        n = _value(phantom["size"], "size", int)
-        return Grid2D(n, n, _value(phantom.get("pixel_size", 1.0), "pixel_size"))
+        return _grid(self.raw)
 
     def parallel_geometry(self) -> ParallelGeometry:
-        spec = self.section("geometry")
-        ang = _value(spec["angles"], "angles", dict)
-        if "list" in ang:
-            angles = np.array([_value(a, "angle") for a in ang["list"]],
-                              dtype=np.float64)
-            if angles.size == 0:
-                raise ValueError("geometry.angles.list must be nonempty")
-            if not np.all((angles >= 0) & (angles < 2 * np.pi)):
-                raise ValueError("explicit angles must lie in [0, 2*pi)")
-        else:
-            start = _value(ang.get("start", 0.0), "start")
-            stop = _value(ang["stop"], "stop")
-            if not 0.0 <= start < stop <= 2 * np.pi:
-                raise ValueError(f"angle range [{start}, {stop}) must be a "
-                                 "subset of [0, 2*pi)")
-            angles = equispaced_angles(_value(ang["count"], "count", int),
-                                       start, stop)
-        n_det = _value(spec.get("detectors", self.section("phantom")["size"]),
-                       "detectors", int)
-        spacing = _value(spec.get("detector_spacing", 1.0), "detector_spacing")
-        return ParallelGeometry(angles=angles, n_det=n_det, det_spacing=spacing)
-
-    def channel_binning(self) -> ChannelBinning:
-        b = self.section("binning")
-        return ChannelBinning.equidistant(_value(b["channels"], "channels", int),
-                                          _value(b["energy_min"], "energy_min"),
-                                          _value(b["energy_max"], "energy_max"))
-
-    def n_phantom_materials(self) -> int:
-        phantom = self.section("phantom")
-        kind = _value(phantom["kind"], "kind", str)
-        if kind not in PHANTOM_KINDS:
-            raise ValueError(f"unknown phantom kind {kind!r}; "
-                             f"choose from {tuple(PHANTOM_KINDS)}")
-        key = PHANTOM_KINDS[kind]
-        return _value(phantom[key], key, int)
+        return _parallel_geometry(self.raw)
 
     def phantom_map(self, grid: Grid2D) -> phantoms.MaterialMap:
         """Render the phantom on `grid`; a limit of its generator raises a
         `FormatError` naming the phantom section."""
-        generate = getattr(phantoms, self.section("phantom")["kind"])
-        return _build("phantom", generate, grid.nx, self.n_phantom_materials(), grid)
-
-    def spectral_dictionary(self, binning: ChannelBinning) -> SpectralDictionary:
-        spec = self.section("dictionary")
-        if spec["type"] == "synthetic":
-            return spectral.kedge_dictionary(
-                _value(spec["materials"], "materials", int), binning,
-                peak=_value(spec.get("peak", 0.1), "peak"),
-                edge_jump=_value(spec.get("edge_jump", 6.0), "edge_jump"))
-        if spec["type"] == "csv":
-            return spectral.bin_attenuation(load_attenuation_csv(spec["path"]),
-                                            binning)
-        raise ValueError(f"unknown dictionary type {spec['type']!r}")
-
-    def source_spectrum(self, binning: ChannelBinning) -> SourceSpectrum:
-        spec = self.section("source")
-        if spec["type"] == "flat":
-            return SourceSpectrum.flat(
-                binning.n_channels, _value(spec.get("photons", 1e4), "photons"))
-        if spec["type"] == "csv":
-            return source_from_csv(spec["path"], binning,
-                                   scale=_value(spec.get("scale", 1.0), "scale"))
-        raise ValueError(f"unknown source type {spec['type']!r}")
-
-    def noise_config(self) -> NoiseConfig:
-        noise = self.section("noise")
-        return NoiseConfig(
-            poisson=_value(noise.get("poisson", False), "poisson", bool),
-            gaussian_percent=_value(noise.get("gaussian_percent", 0.0),
-                                    "gaussian_percent"))
-
-    def dictionary_rows(self, n_dict: int) -> np.ndarray:
-        """The dictionary row of each phantom material: `material_rows`, or
-        by default rows spread evenly over the dictionary."""
-        m = self.n_phantom_materials()
-        if m > n_dict:
-            raise ValueError(f"phantom has {m} materials but the dictionary "
-                             f"only {n_dict} entries")
-        if self.raw.get("material_rows") is None:
-            return np.round(np.linspace(0, n_dict - 1, m)).astype(int)
-        rows = np.array([_value(r, "each row", int)
-                         for r in self.raw["material_rows"]], dtype=int)
-        if rows.size != m or len(set(rows.tolist())) != m:
-            raise ValueError("must list one distinct dictionary row per "
-                             "phantom material")
-        if rows.min() < 0 or rows.max() >= n_dict:
-            raise ValueError(f"rows must lie in [0, {n_dict - 1}], "
-                             f"got {rows.tolist()}")
-        return rows
-
-    def channel_count(self, n_dict: int, n_channels: int) -> int | None:
-        """How many of the `n_channels` channels `simulate` keeps by
-        `channel_selection`, or None to keep them all; ``"dictionary"``
-        means one per dictionary entry."""
-        if self.raw.get("channel_selection") is None:
-            return None
-        count = self.section("channel_selection").get("count")
-        k = n_dict if count == "dictionary" else count
-        if not (type(k) is int and 1 <= k <= n_channels):
-            raise ValueError(f"count must be an integer in [1, {n_channels}] "
-                             "or 'dictionary' (one channel per dictionary "
-                             f"entry, {n_dict} here), got {count!r}")
-        return k
+        generate = getattr(phantoms, self.raw["phantom"]["kind"])
+        return _build("phantom", generate, grid.nx, self.material_rows.size, grid)
 
 
 # what `_value` calls each JSON kind in its errors
 _KIND_NAMES = {float: "a number", int: "an integer", bool: "true or false",
-               str: "a string", dict: "a JSON object"}
+               str: "a string", dict: "a JSON object", list: "a JSON array"}
 
 
 def _value(value, name: str, kind: type = float):
     """`value` if it is a JSON value of `kind` (`float`, `int`, `bool`,
-    `str` or `dict`), a number as a float where `kind` is `float`; anything
-    else (a bool as a number, a string or a fraction as a count) raises
-    `TypeError`."""
+    `str`, `dict` or `list`), a number as a float where `kind` is `float`;
+    anything else (a bool as a number, a string or a fraction as a count)
+    raises `TypeError`."""
     accepted = (int, float) if kind is float else kind
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
         raise TypeError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
@@ -398,11 +312,11 @@ def config_output_dir(path) -> str:
 def parse_config(raw: dict, base_dir: Path | str = ".") -> RunConfig:
     """Check a config and return it as a `RunConfig` that holds its own copy
     of it, with the CSV paths resolved against `base_dir`.  Every value is
-    read through `_value`, and every section the commands build is built
-    here once, so a bad one fails before anything is simulated or written,
-    with a `FormatError` that starts with its name; only the phantom
-    generator's own limits wait for `simulate`, which reports them the
-    same way."""
+    read through `_value`, and each section is built here once, by one
+    builder below, and kept in the `RunConfig`, so a bad one fails before
+    anything is simulated or written, with a `FormatError` that starts with
+    its name; only the phantom generator's own limits wait for `simulate`,
+    which reports them the same way."""
     _check_object(raw)
     raw = copy.deepcopy(raw)
     version = raw.get("config_version")
@@ -414,40 +328,160 @@ def parse_config(raw: dict, base_dir: Path | str = ".") -> RunConfig:
         if key not in raw:
             raise FormatError(f"config missing required section {key!r}")
 
-    cfg = RunConfig(
-        method=_build("method", _value, raw["method"], "method", str),
-        output_dir=_build("output_dir", _value, raw["output_dir"],
-                          "output_dir", str),
-        seed=_build("seed", _seed, raw.get("seed", 0)),
-        raw=raw,
-    )
+    method = _build("method", _value, raw["method"], "method", str)
+    _build("output_dir", _value, raw["output_dir"], "output_dir", str)
+    seed = _build("seed", _seed, raw.get("seed", 0))
     for section in ("dictionary", "source"):
-        _build(section, _resolve_csv_path, cfg, section, base_dir)
-    _build("phantom", cfg.grid)
-    _build("phantom", cfg.n_phantom_materials)
-    _build("geometry", cfg.parallel_geometry)
-    binning = _build("binning", cfg.channel_binning)
-    n_dict = _build("dictionary", cfg.spectral_dictionary, binning).n_materials
-    _build("source", cfg.source_spectrum, binning)
-    _build("noise", cfg.noise_config)
-    _build("material_rows", cfg.dictionary_rows, n_dict)
-    _build("channel_selection", cfg.channel_count, n_dict, binning.n_channels)
-    _build("method", method_config, cfg.method, {})
+        _build(section, _resolve_csv_path, raw, section, base_dir)
+    _build("phantom", _grid, raw)
+    n_materials = _build("phantom", _n_phantom_materials, raw)
+    _build("geometry", _parallel_geometry, raw)
+    binning = _build("binning", _channel_binning, raw)
+    dictionary = _build("dictionary", _spectral_dictionary, raw, binning)
+    n_dict = dictionary.n_materials
+    source = _build("source", _source_spectrum, raw, binning)
+    noise = _build("noise", _noise_config, raw)
+    rows = _build("material_rows", _dictionary_rows, raw, n_materials, n_dict)
+    count = _build("channel_selection", _channel_count, raw, n_dict,
+                   binning.n_channels)
+    _build("method", method_config, method, {})
     params = _build("method_params", _value, raw.get("method_params", {}),
                     "method_params", dict)
-    _build("method_params", method_config, cfg.method, params)
-    return cfg
+    _build("method_params", method_config, method, params)
+    return RunConfig(raw=raw, seed=seed, binning=binning, dictionary=dictionary,
+                     source=source, noise=noise, material_rows=rows,
+                     channel_count=count)
 
 
-def _resolve_csv_path(cfg: RunConfig, section: str, base_dir) -> None:
+def _resolve_csv_path(raw: dict, section: str, base_dir) -> None:
     """Make the ``path`` of a ``csv`` section absolute or relative to the
-    working directory, in place in `cfg.raw`; the file must exist."""
-    spec = cfg.section(section)
+    working directory, in place in `raw`; the file must exist."""
+    spec = _section(raw, section)
     if spec.get("type") == "csv":
         csv_path = Path(base_dir) / _value(spec["path"], "path", str)
         if not csv_path.exists():
             raise ValueError(f"file does not exist: {csv_path}")
         spec["path"] = str(csv_path)
+
+
+def _section(raw: dict, name: str) -> dict:
+    """The config section `name`, which must be a JSON object."""
+    return _value(raw.get(name, {}), name, dict)
+
+
+def _grid(raw: dict) -> Grid2D:
+    phantom = _section(raw, "phantom")
+    n = _value(phantom["size"], "size", int)
+    return Grid2D(n, n, _value(phantom.get("pixel_size", 1.0), "pixel_size"))
+
+
+def _parallel_geometry(raw: dict) -> ParallelGeometry:
+    spec = _section(raw, "geometry")
+    ang = _value(spec["angles"], "angles", dict)
+    if "list" in ang:
+        angles = np.array([_value(a, "angle")
+                           for a in _value(ang["list"], "angles.list", list)],
+                          dtype=np.float64)
+        if angles.size == 0:
+            raise ValueError("geometry.angles.list must be nonempty")
+        if not np.all((angles >= 0) & (angles < 2 * np.pi)):
+            raise ValueError("explicit angles must lie in [0, 2*pi)")
+    else:
+        start = _value(ang.get("start", 0.0), "start")
+        stop = _value(ang["stop"], "stop")
+        if not 0.0 <= start < stop <= 2 * np.pi:
+            raise ValueError(f"angle range [{start}, {stop}) must be a "
+                             "subset of [0, 2*pi)")
+        angles = equispaced_angles(_value(ang["count"], "count", int),
+                                   start, stop)
+    n_det = _value(spec.get("detectors", _section(raw, "phantom")["size"]),
+                   "detectors", int)
+    spacing = _value(spec.get("detector_spacing", 1.0), "detector_spacing")
+    return ParallelGeometry(angles=angles, n_det=n_det, det_spacing=spacing)
+
+
+def _n_phantom_materials(raw: dict) -> int:
+    phantom = _section(raw, "phantom")
+    kind = _value(phantom["kind"], "kind", str)
+    if kind not in PHANTOM_KINDS:
+        raise ValueError(f"unknown phantom kind {kind!r}; "
+                         f"choose from {tuple(PHANTOM_KINDS)}")
+    key = PHANTOM_KINDS[kind]
+    return _value(phantom[key], key, int)
+
+
+def _channel_binning(raw: dict) -> ChannelBinning:
+    b = _section(raw, "binning")
+    return ChannelBinning.equidistant(_value(b["channels"], "channels", int),
+                                      _value(b["energy_min"], "energy_min"),
+                                      _value(b["energy_max"], "energy_max"))
+
+
+def _spectral_dictionary(raw: dict, binning: ChannelBinning) -> SpectralDictionary:
+    spec = _section(raw, "dictionary")
+    if spec["type"] == "synthetic":
+        return spectral.kedge_dictionary(
+            _value(spec["materials"], "materials", int), binning,
+            peak=_value(spec.get("peak", 0.1), "peak"),
+            edge_jump=_value(spec.get("edge_jump", 6.0), "edge_jump"))
+    if spec["type"] == "csv":
+        return spectral.bin_attenuation(load_attenuation_csv(spec["path"]),
+                                        binning)
+    raise ValueError(f"unknown dictionary type {spec['type']!r}")
+
+
+def _source_spectrum(raw: dict, binning: ChannelBinning) -> SourceSpectrum:
+    spec = _section(raw, "source")
+    if spec["type"] == "flat":
+        return SourceSpectrum.flat(
+            binning.n_channels, _value(spec.get("photons", 1e4), "photons"))
+    if spec["type"] == "csv":
+        return source_from_csv(spec["path"], binning,
+                               scale=_value(spec.get("scale", 1.0), "scale"))
+    raise ValueError(f"unknown source type {spec['type']!r}")
+
+
+def _noise_config(raw: dict) -> NoiseConfig:
+    noise = _section(raw, "noise")
+    return NoiseConfig(
+        poisson=_value(noise.get("poisson", False), "poisson", bool),
+        gaussian_percent=_value(noise.get("gaussian_percent", 0.0),
+                                "gaussian_percent"))
+
+
+def _dictionary_rows(raw: dict, m: int, n_dict: int) -> np.ndarray:
+    """The dictionary row of each of the `m` phantom materials:
+    `material_rows`, or by default rows spread evenly over the dictionary."""
+    if m > n_dict:
+        raise ValueError(f"phantom has {m} materials but the dictionary "
+                         f"only {n_dict} entries")
+    if raw.get("material_rows") is None:
+        return np.round(np.linspace(0, n_dict - 1, m)).astype(int)
+    rows = np.array([_value(r, "each row", int) for r in
+                     _value(raw["material_rows"], "material_rows", list)],
+                    dtype=int)
+    if rows.size != m or len(set(rows.tolist())) != m:
+        raise ValueError("must list one distinct dictionary row per "
+                         "phantom material")
+    if rows.min() < 0 or rows.max() >= n_dict:
+        raise ValueError(f"rows must lie in [0, {n_dict - 1}], "
+                         f"got {rows.tolist()}")
+    return rows
+
+
+def _channel_count(raw: dict, n_dict: int, n_channels: int) -> int | None:
+    """How many of the `n_channels` channels `simulate` keeps by
+    `channel_selection`, or None to keep them all; ``"dictionary"`` means
+    one per dictionary entry."""
+    if raw.get("channel_selection") is None:
+        return None
+    count = _section(raw, "channel_selection").get("count")
+    k = n_dict if count == "dictionary" else count
+    if not (type(k) is int and 1 <= k <= n_channels):
+        raise ValueError(f"count must be an integer in [1, {n_channels}] "
+                         "or 'dictionary' (one channel per dictionary "
+                         f"entry, {n_dict} here), got {count!r}")
+    return k
 
 
 def _check_object(raw, where: str = "") -> None:

@@ -520,7 +520,6 @@ def _clipped_lstsq(B, V):
 class TwoStepResult:
     A: np.ndarray
     F: np.ndarray
-    intermediate: np.ndarray          # spectral volume (ru) or material sinogram (ur)
 
 
 def ru(op: TomoOperator, Y: np.ndarray, n_materials: int,
@@ -534,7 +533,7 @@ def ru(op: TomoOperator, Y: np.ndarray, n_materials: int,
                                cfg.cg_max_iter, cfg.cg_tol), 0.0)
     A, F, _ = nmf_als(V, n_materials, cfg.nmf_iters, cfg.nmf_restarts, cfg.seed)
     A, F = _normalize_factor_scale(A, F)
-    return TwoStepResult(A=A, F=F, intermediate=V)
+    return TwoStepResult(A=A, F=F)
 
 
 def ur(op: TomoOperator, Y: np.ndarray, n_materials: int,
@@ -547,4 +546,4 @@ def ur(op: TomoOperator, Y: np.ndarray, n_materials: int,
     A = np.maximum(tikhonov_cg(op, P, cfg.tikhonov_lambda,
                                cfg.cg_max_iter, cfg.cg_tol), 0.0)
     A, F = _normalize_factor_scale(A, F)
-    return TwoStepResult(A=A, F=F, intermediate=P)
+    return TwoStepResult(A=A, F=F)

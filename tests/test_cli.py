@@ -31,6 +31,16 @@ def tiny_config(**overrides):
     return raw
 
 
+def csv_config(tmp_path, **overrides):
+    """`tiny_config` with a dictionary and a source read from CSV files,
+    written to `tmp_path` as ``mu.csv`` and ``source.csv``."""
+    (tmp_path / "mu.csv").write_text(
+        "energy_keV,a,b,c,d\n0,4.5,3,2.25,1\n20,1.25,4,1,0.5\n40,0.5,1.25,2,0.25\n")
+    (tmp_path / "source.csv").write_text("energy_keV,intensity\n0,9000\n40,7000\n")
+    return tiny_config(dictionary={"type": "csv", "path": "mu.csv"},
+                       source={"type": "csv", "path": "source.csv"}, **overrides)
+
+
 def assert_error_line(capsys, argv, message):
     """`cli.main(argv)` exits with status 2 and writes one line to stderr,
     the error whose text starts with the regular expression `message`."""
@@ -74,19 +84,55 @@ class TestSimulate:
         assert F.shape == (2, 5)
 
     def test_byte_identical_reruns(self, tmp_path):
-        cfg = parse_config(tiny_config())
-        a, b = tmp_path / "a", tmp_path / "b"
-        cli.cmd_simulate(cfg, a)
-        cli.cmd_simulate(cfg, b)
-        for name in ("sinogram.adjm", "ground_truth.adjm",
-                     "spectra_true.adjm", "dictionary.adjm"):
-            assert (a / name).read_bytes() == (b / name).read_bytes()
+        # the benchmark's set-ups pass one RunConfig to simulate many times
+        for name, raw in [("synthetic", tiny_config()),
+                          ("csv", csv_config(tmp_path,
+                                             channel_selection={"count": 3}))]:
+            cfg = parse_config(raw, base_dir=tmp_path)
+            a, b = tmp_path / name / "a", tmp_path / name / "b"
+            cli.cmd_simulate(cfg, a)
+            cli.cmd_simulate(cfg, b)
+            files = sorted(path.name for path in a.iterdir())
+            assert files == sorted(path.name for path in b.iterdir())
+            for file in files:
+                assert (a / file).read_bytes() == (b / file).read_bytes(), file
 
     def test_seed_changes_counts(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         cli.cmd_simulate(parse_config(tiny_config(seed=1)), a)
         cli.cmd_simulate(parse_config(tiny_config(seed=2)), b)
         assert (a / "sinogram.adjm").read_bytes() != (b / "sinogram.adjm").read_bytes()
+
+    def test_each_csv_read_once(self, tmp_path, monkeypatch):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(csv_config(tmp_path,
+                                                  output_dir=str(tmp_path / "run"))))
+        reads = []
+        read = data_io._read_csv_lines
+
+        def counted(path):
+            reads.append(Path(path).name)
+            return read(path)
+
+        monkeypatch.setattr(data_io, "_read_csv_lines", counted)
+        assert cli.main(["simulate", "--config", str(cfg_path)]) == 0
+        assert reads == ["mu.csv", "source.csv"]
+
+    def test_csv_rewritten_after_the_check_is_not_read_again(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(csv_config(tmp_path)))
+        binning = spectral.ChannelBinning.equidistant(5, 5.0, 35.0)
+        checked = spectral.bin_attenuation(
+            data_io.load_attenuation_csv(tmp_path / "mu.csv"), binning).T
+        source = data_io.source_from_csv(tmp_path / "source.csv", binning)
+        cfg = data_io.load_config(cfg_path)
+        (tmp_path / "mu.csv").write_text(
+            "energy_keV,a,b,c,d\n0,1,1,1,1\n40,2,2,2,2\n")
+        (tmp_path / "source.csv").write_text("energy_keV,intensity\n0,5\n40,5\n")
+        manifest = cli.cmd_simulate(cfg, tmp_path / "run")
+        np.testing.assert_array_equal(
+            data_io.load_matrix(tmp_path / "run" / "dictionary.adjm"), checked)
+        assert manifest["source_intensity"] == source.intensity.tolist()
 
     def test_phantom_generator_limit_writes_nothing(self, tmp_path):
         cfg = parse_config(tiny_config(
@@ -181,6 +227,37 @@ class TestReconstructEvaluate:
     def test_evaluate_without_reconstruction_fails(self, run_dir):
         with pytest.raises(FileNotFoundError, match="no reconstruction"):
             cli.cmd_evaluate(run_dir, method="ur")
+
+    @pytest.mark.parametrize("name,shape,expected", [
+        ("sinogram.adjm", (12 * 24, 3), (12 * 24, 5)),
+        ("dictionary.adjm", (4, 3), (4, 5)),
+    ], ids=["sinogram", "dictionary"])
+    def test_reconstruct_rejects_a_file_of_another_shape(self, run_dir, capsys,
+                                                         no_operator, name,
+                                                         shape, expected):
+        data_io.save_matrix(run_dir / name, np.ones(shape))
+        assert_error_line(capsys, ["reconstruct", "--out", str(run_dir)], re.escape(
+            f"{run_dir / name}: holds a {shape} matrix, expected {expected}\n"))
+        assert not (run_dir / "adjust").exists()
+
+    def test_evaluate_rejects_maps_of_another_run(self, run_dir, capsys):
+        # re-simulating a 16x16 config into the 24x24 run leaves its maps stale
+        cli.cmd_reconstruct(run_dir, method_params={"max_iter": 2})
+        cli.cmd_simulate(parse_config(tiny_config(
+            phantom={"kind": "disks", "size": 16, "count": 2},
+            geometry={"angles": {"count": 12, "stop": np.pi}})), run_dir)
+        assert_error_line(capsys, ["evaluate", "--out", str(run_dir)], re.escape(
+            f"{run_dir / 'adjust' / 'maps.adjm'}: holds a (576, 2) matrix, "
+            "expected (256, 2)\n"))
+        assert not (run_dir / "adjust" / "results.csv").exists()
+
+    def test_evaluate_rejects_spectra_of_another_shape(self, run_dir, capsys):
+        method_dir = cli.cmd_reconstruct(run_dir, method_params={"max_iter": 2})
+        data_io.save_matrix(method_dir / "spectra.adjm", np.ones((2, 3)))
+        assert_error_line(capsys, ["evaluate", "--out", str(run_dir)], re.escape(
+            f"{method_dir / 'spectra.adjm'}: holds a (2, 3) matrix, "
+            "expected (2, 5)\n"))
+        assert not (method_dir / "results.csv").exists()
 
     def test_malformed_meta_names_file_and_line(self, run_dir):
         method_dir = cli.cmd_reconstruct(run_dir, method="ru",
@@ -742,13 +819,19 @@ class TestMainEntry:
         assert list(tmp_path.iterdir()) == []
 
 
+def load_benchmark_module(name):
+    """The module ``benchmarks/<name>.py``, loaded by path."""
+    path = Path(__file__).parents[1] / "benchmarks" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"benchmark_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_tracer_wraps_a_tiny_pipeline(tmp_path):
     # benchmarks/tracing.py patches package names from outside the package;
     # a name it no longer finds would make its counters read zero
-    path = Path(__file__).parents[1] / "benchmarks" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("benchmark_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = load_benchmark_module("tracing")
     originals = (solvers.backtracking, projections.project_rows_capped_simplex,
                  TomoOperator.forward)
     cfg = parse_config(tiny_config())
@@ -767,3 +850,26 @@ def test_benchmark_tracer_wraps_a_tiny_pipeline(tmp_path):
         assert metrics[name] > 0, name
     last = (method_dir / "history.csv").read_text().splitlines()[-1]
     assert metrics["solvers.final_eps_abs"] == float(last.split(",")[2])
+
+
+def test_benchmark_round_runs_and_passes_its_checks(tmp_path, monkeypatch):
+    # benchmarks/run.py drives RunConfig and the cmd_* functions from outside
+    # the package; a change to either must not break only the benchmark.  The
+    # thread variables are set first, so monkeypatch undoes run.py's writes
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    run = load_benchmark_module("run")
+    checks = load_benchmark_module("checks")
+    workload = {"size": 16, "preset": None, "setups": 2, "ssim_floor": None,
+                "methods": {"adjust": {"rho": 0.01, "random_init": True,
+                                       "max_iter": 3},
+                            "cjoint": {"max_iter": 3},
+                            "ru": {"nmf_restarts": 1}, "ur": {"nmf_restarts": 1}}}
+    cfg = data_io.parse_config(run.raw_config(workload, 5, cli))
+    rnd = run.run_round(workload, cfg, tmp_path / "round", None, cli)
+    assert (rnd.attempted, rnd.failed, len(rnd.setup_s)) == (10, 0, 2)
+    op = TomoOperator(cfg.grid(), cfg.parallel_geometry())
+    failures, ssims = run.check_round(rnd, workload, op, checks)
+    assert failures == []
+    assert set(ssims) == set(workload["methods"])
+    assert run.solver_figures(rnd.run_dir)[1] == 3

@@ -11,9 +11,9 @@ import pytest
 from spectomo import (FormatError, MatchResult, export_pgm16,
                       load_attenuation_csv, load_matrix, parse_config,
                       save_attenuation_csv, save_matrix)
-from spectomo.data_io import (METHOD_PARAMS, load_config, method_config,
-                              source_from_csv, write_history_csv,
-                              write_results_csv)
+from spectomo.data_io import (METHOD_PARAMS, load_config, matrix_shape,
+                              method_config, source_from_csv,
+                              write_history_csv, write_results_csv)
 from spectomo.solvers import IterationRecord
 from spectomo.spectral import ChannelBinning, kedge_attenuation_table
 
@@ -156,6 +156,19 @@ class TestMatrixFormat:
         with pytest.raises(FormatError, match="expected"):
             load_matrix(path)
 
+    def test_shape_read_from_the_header(self, tmp_path):
+        path = tmp_path / "m.adjm"
+        save_matrix(path, np.ones((7, 3)))
+        assert matrix_shape(path) == (7, 3)
+        path.write_bytes(b"ADJM" + struct.pack("<II", 2, 2))     # no payload
+        assert matrix_shape(path) == (2, 2)
+        path.write_bytes(b"NOPE" + b"\x00" * 8)
+        with pytest.raises(FormatError, match="magic"):
+            matrix_shape(path)
+        path.write_bytes(b"ADJM\x02")
+        with pytest.raises(FormatError, match="truncated header"):
+            matrix_shape(path)
+
 
 def read_pgm16(path):
     """Tiny independent PGM reader used as the round-trip oracle."""
@@ -220,14 +233,23 @@ def valid_config(**overrides):
     return raw
 
 
+# the two array fields, each given a value that is not a JSON array
+NOT_ARRAYS = [
+    ("material_rows", {"material_rows": 3}),
+    ("material_rows", {"material_rows": "13"}),
+    ("geometry", {"geometry": {"angles": {"list": "0.5"}, "detectors": 32}}),
+]
+NOT_ARRAY_IDS = ["rows-number", "rows-text", "angle-list-text"]
+
+
 class TestRunConfig:
     def test_valid_config_parses(self):
         cfg = parse_config(valid_config())
-        assert cfg.method == "adjust"
+        assert cfg.raw["method"] == "adjust"
         assert cfg.grid().nx == 32
         assert cfg.parallel_geometry().n_angles == 20
-        assert cfg.channel_binning().n_channels == 8
-        assert cfg.n_phantom_materials() == 4
+        assert cfg.binning.n_channels == 8
+        assert cfg.material_rows.size == 4
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -373,12 +395,19 @@ class TestRunConfig:
         ("geometry", {"geometry": {"angles": [0.0, 1.0]}}),
         ("method_params", {"method_params": {"random_init": "no"}}),
         ("output_dir", {"output_dir": None}),
+        *NOT_ARRAYS,
     ], ids=["gaussian-nan", "gaussian-inf", "poisson-text", "poisson-int",
             "rows-fractional", "rows-float", "phantom-list", "noise-number",
             "dictionary-text", "angles-list", "random_init-text",
-            "output_dir-null"])
+            "output_dir-null", *NOT_ARRAY_IDS])
     def test_loosely_typed_value_rejected(self, section, override):
         with pytest.raises(FormatError, match=f"^{section} section invalid"):
+            parse_config(valid_config(**override))
+
+    @pytest.mark.parametrize("section,override", NOT_ARRAYS, ids=NOT_ARRAY_IDS)
+    def test_array_field_that_is_not_an_array_rejected(self, section, override):
+        with pytest.raises(FormatError, match=f"^{section} section invalid: "
+                                              r"[\w.]+ must be a JSON array"):
             parse_config(valid_config(**override))
 
     @pytest.mark.parametrize("section,key,override", [

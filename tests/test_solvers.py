@@ -594,14 +594,12 @@ class TestTwoStep:
         assert res.A.shape == A_true.shape
         assert res.F.shape == (2, Y.shape[1])
         assert np.all(res.A >= 0) and np.all(res.F >= 0)
-        assert res.intermediate.shape == (op.n_image, Y.shape[1])
 
     def test_ur_outputs_shapes_and_nonnegativity(self):
         op, T, A_true, R_true, Y = exact_instance()
         res = ur(op, Y, 2, TwoStepConfig(nmf_restarts=3))
         assert res.A.shape == A_true.shape
         assert np.all(res.A >= 0) and np.all(res.F >= 0)
-        assert res.intermediate.shape == (op.n_rays, 2)
 
     def test_ur_exact_factorization_reaches_zero(self):
         op, T, A_true, R_true, Y = exact_instance()
