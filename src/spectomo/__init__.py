@@ -11,7 +11,7 @@ from .spectral import (AttenuationTable, ChannelBinning, NoiseConfig,
                        add_gaussian_noise, bin_attenuation, channel_pivot_order,
                        kedge_dictionary, kedge_attenuation_table, log_correct,
                        select_channels, simulate_counts)
-from .solvers import (AapmConfig, AapmResult, CjointConfig, TwoStepConfig,
+from .solvers import (AapmConfig, CjointConfig, FactorResult, TwoStepConfig,
                       aapm, backtracking, cjoint, grad_coeffs, grad_maps,
                       lagrangian_value, nmf_als, objective, ru, tikhonov_cg,
                       ur)

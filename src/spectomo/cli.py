@@ -5,7 +5,8 @@ artifacts, `reconstruct` adds per-method outputs, `evaluate` scores them
 against the ground truth, `sweep-rho` compares solver acceleration
 settings on the same data, and `pipeline` chains all four.  Every command
 is reproducible: the same config and seed produce byte-identical numeric
-outputs.
+outputs when run with the same BLAS thread count (with another count, a
+misfit can sum in another order and differ in its last digit).
 """
 
 from __future__ import annotations
@@ -134,7 +135,7 @@ def cmd_reconstruct(out_dir: Path, method: str | None = None,
                     method_params: dict | None = None,
                     seed: int | None = None) -> Path:
     """Run one solver on a simulated run directory; writes maps, spectra,
-    (for adjust) coefficients, an iteration history CSV and
+    the coefficients of a dictionary solve, an iteration history CSV and
     ``reconstruct_meta.json`` with the solve time and why the loop stopped."""
     out_dir = Path(out_dir)
     manifest = _load_manifest(out_dir)
@@ -156,17 +157,15 @@ def cmd_reconstruct(out_dir: Path, method: str | None = None,
     if _MALLOC_TRIM is not None:
         _MALLOC_TRIM(0)
 
-    if method == "adjust":
+    if result.R is not None:
         data_io.save_matrix(method_dir / "coeffs.adjm", result.R)
     data_io.save_matrix(method_dir / "maps.adjm", result.A)
     data_io.save_matrix(method_dir / "spectra.adjm", result.F)
     # the two-step baselines have no loop, so no stop reason
     with open(method_dir / "reconstruct_meta.json", "w", encoding="utf-8") as fh:
         json.dump({"method": method, "seconds": elapsed, "params": params,
-                   "seed": seed,
-                   "stop_reason": getattr(result, "stop_reason", None),
-                   "step_failures": getattr(result, "step_failures", None)},
-                  fh, indent=2)
+                   "seed": seed, "stop_reason": result.stop_reason,
+                   "step_failures": result.step_failures}, fh, indent=2)
     return method_dir
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import json
+import os
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -150,15 +151,18 @@ def save_matrix(path, matrix: np.ndarray) -> None:
 
 
 def load_matrix(path) -> np.ndarray:
+    """The matrix in the file at `path`; its size is checked against the
+    header first, and the payload is read straight into the result."""
     path = Path(path)
-    blob = path.read_bytes()
-    rows, cols = _matrix_header(path, blob[:12])
-    expected = 12 + rows * cols * 8
-    if len(blob) != expected:
-        raise FormatError(f"{path}: expected {expected} bytes for "
-                          f"{rows}x{cols}, got {len(blob)}")
-    data = np.frombuffer(blob, dtype="<f8", offset=12)
-    return data.reshape(rows, cols).astype(np.float64)
+    with open(path, "rb") as fh:
+        rows, cols = _matrix_header(path, fh.read(12))
+        expected = 12 + rows * cols * 8
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise FormatError(f"{path}: expected {expected} bytes for "
+                              f"{rows}x{cols}, got {size}")
+        data = np.fromfile(fh, dtype="<f8", count=rows * cols)
+    return data.reshape(rows, cols).astype(np.float64, copy=False)
 
 
 def matrix_shape(path) -> tuple[int, int]:
@@ -523,15 +527,15 @@ def write_history_csv(path, records) -> None:
 
 
 def capped_psnr(match) -> tuple[list[float], float]:
-    """The per-pair PSNR values with an infinite one (an exact match) as
+    """The per-pair PSNR values with ``+inf`` (an exact match) as
     `PSNR_SATURATION_DB`, and their mean: the ``psnr_avg`` of both
     ``results.csv`` and ``report.json``."""
-    psnr = [PSNR_SATURATION_DB if np.isinf(p) else p for p in match.psnr_values]
+    psnr = [PSNR_SATURATION_DB if p == np.inf else p for p in match.psnr_values]
     return psnr, float(np.mean(psnr))
 
 
 def write_results_csv(path, method: str, match) -> None:
-    """Per-pair metric rows plus an ``average`` row; infinite PSNR values
+    """Per-pair metric rows plus an ``average`` row; ``+inf`` PSNR values
     are written as `PSNR_SATURATION_DB`."""
     psnr, psnr_avg = capped_psnr(match)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -11,7 +11,9 @@ Metric conventions (deliberately literal):
 * ``psnr`` uses the squared norm in the denominator accordingly, with the
   peak taken from the reference image.  A zero-error pair returns ``inf``;
   the writers cap it at :data:`PSNR_SATURATION_DB`, and their PSNR average
-  is the mean of the capped values (``data_io.capped_psnr``).
+  is the mean of the capped values (``data_io.capped_psnr``).  A nonzero
+  error against a reference whose peak is not positive raises
+  ``ValueError``: there is no signal to compare it with.
 * ``ssim`` is global (whole-image means, variances and cross-covariance,
   no sliding window) with the usual stabilizers for unit dynamic range.
 """
@@ -39,7 +41,10 @@ def psnr(x: np.ndarray, y: np.ndarray) -> float:
     err = mse(x, y)
     if err == 0.0:
         return np.inf
-    return 10.0 * np.log10(float(np.max(y)) ** 2 / err)
+    peak = float(np.max(y))
+    if not peak > 0:
+        raise ValueError(f"PSNR needs a reference with a positive peak, got {peak}")
+    return 10.0 * np.log10(peak ** 2 / err)
 
 
 def ssim(x: np.ndarray, y: np.ndarray) -> float:

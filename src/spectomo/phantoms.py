@@ -122,8 +122,7 @@ def disks(n: int, n_disks: int, grid: Grid2D | None = None) -> MaterialMap:
     A = np.zeros((n * n, n_disks))
     for m, c in enumerate(centers):
         A[_disk_mask(n, c, _DISK_RADIUS).ravel(), m] = 1.0
-    return MaterialMap(A=A, grid=grid,
-                       labels=[f"disk_{m}" for m in range(n_disks)])
+    return _rendered(A, grid, [f"disk_{m}" for m in range(n_disks)], n)
 
 
 def mixed_disks(n: int, n_materials: int, grid: Grid2D | None = None) -> MaterialMap:
@@ -143,8 +142,17 @@ def mixed_disks(n: int, n_materials: int, grid: Grid2D | None = None) -> Materia
         mask = _disk_mask(n, c, _DISK_RADIUS).ravel()
         A[mask, i] = 0.5
         A[mask, j] = 0.5
-    return MaterialMap(A=A, grid=grid,
-                       labels=[f"material_{m}" for m in range(n_materials)])
+    return _rendered(A, grid, [f"material_{m}" for m in range(n_materials)], n)
+
+
+def _rendered(A, grid: Grid2D, labels: list[str], n: int) -> MaterialMap:
+    """The disk render `A` as a map; a disk smaller than a pixel can miss
+    every pixel center, and a material that covers no pixel is an error."""
+    empty = np.flatnonzero(~A.any(axis=0))
+    if empty.size:
+        raise ValueError(f"{labels[empty[0]]} covers no pixel at n={n}; "
+                         "use a larger size")
+    return MaterialMap(A=A, grid=grid, labels=labels)
 
 
 def _ring_centers(radius: float, count: int) -> list[tuple[float, float]]:

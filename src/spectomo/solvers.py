@@ -25,7 +25,7 @@ none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -44,36 +44,39 @@ MAX_HALVINGS = 30
 def objective(A: np.ndarray, R: np.ndarray, op: TomoOperator,
               T: np.ndarray, Y: np.ndarray) -> float:
     """Least-squares misfit ``0.5 * ||Y - W A R T||_F^2``."""
-    return _misfit(Y - _predict(A, R, op, np.asarray(T, dtype=np.float64))[1])
+    T = np.asarray(T, dtype=np.float64)
+    return _misfit(_residual(op.forward(A), R @ T, Y))
 
 
 def lagrangian_value(A, R, U, op, T, Y) -> float:
     """Misfit plus the running-sum-of-errors inner product ``<U, E>``."""
-    E = Y - _predict(A, R, op, np.asarray(T, dtype=np.float64))[1]
+    T = np.asarray(T, dtype=np.float64)
+    E = _residual(op.forward(A), R @ T, Y)
     return _misfit(E) + float(np.vdot(U, E))
 
 
 def grad_maps(A, R, U, op, T, Y) -> np.ndarray:
     """Gradient of :func:`lagrangian_value` with respect to the maps:
     ``W^T (W A R T - Y - U) T^T R^T``."""
-    T = np.asarray(T, dtype=np.float64)
-    return _grad_maps(op, Y + U - _predict(A, R, op, T)[1], R @ T)
+    RT = R @ np.asarray(T, dtype=np.float64)
+    return _grad_maps(op, _residual(op.forward(A), RT, Y + U), RT)
 
 
 def grad_coeffs(A, R, U, op, T, Y) -> np.ndarray:
     """Gradient with respect to the coefficients:
     ``A^T W^T (W A R T - Y - U) T^T``."""
     T = np.asarray(T, dtype=np.float64)
-    WA, P = _predict(A, R, op, T)
-    return _grad_coeffs(WA, Y + U - P, T)
+    WA = op.forward(A)
+    return _grad_coeffs(WA, _residual(WA, R @ T, Y + U), T)
 
 
 # 0.5 ||E||^2 + <U, E> = 0.5 ||Y + U - W A R T||^2 - 0.5 ||U||^2, so the solver
 # fits Y + U.  It keeps WA = W A and that residual to repeat no projector call.
 
-def _predict(A, R, op, T):
-    WA = op.forward(A)
-    return WA, WA @ (R @ T)
+def _residual(WA, RT, data, out=None) -> np.ndarray:
+    """``data - WA @ RT``, formed in `out` if it is given."""
+    E = np.matmul(WA, RT, out=out)
+    return np.subtract(data, E, out=E)
 
 
 def _misfit(E) -> float:
@@ -145,17 +148,22 @@ class IterationRecord:
 
 @dataclass
 class FactorResult:
-    """Where an alternating run ended: the factors of ``Y ~ W A F``, the
-    per-iteration history, why the loop stopped and how many line searches
-    found no step.  `stop_reason` is ``residual`` (the data residual reached
-    its tolerance), ``stationary`` (the iterate moved less than its
-    tolerance and no line search failed), ``stalled`` (both line searches
-    failed, so nothing moved) or ``max_iter``."""
+    """What a solve returns: the factors of ``Y ~ W A F``; for `aapm` the
+    dictionary coefficients `R` (``F = R @ T``) and the running sum of
+    errors `U`; for the alternating solvers the per-iteration history, why
+    the loop stopped and how many line searches found no step.  The two-step
+    baselines have no loop, so their history is empty and the rest None.
+    `stop_reason` is ``residual`` (the data residual reached its tolerance),
+    ``stationary`` (the iterate moved less than its tolerance and no line
+    search failed), ``stalled`` (both line searches failed, so nothing
+    moved) or ``max_iter``."""
     A: np.ndarray
     F: np.ndarray
-    history: list[IterationRecord]
-    stop_reason: str
-    step_failures: int
+    R: Optional[np.ndarray] = None
+    U: Optional[np.ndarray] = None
+    history: list[IterationRecord] = field(default_factory=list)
+    stop_reason: Optional[str] = None
+    step_failures: Optional[int] = None
 
     @property
     def converged(self) -> bool:
@@ -166,15 +174,8 @@ class FactorResult:
         return len(self.history)
 
 
-@dataclass
-class AapmResult(FactorResult):
-    """`FactorResult` of `aapm`, whose spectra are ``F = R @ T``."""
-    R: np.ndarray                     # dictionary coefficients, feasible
-    U: np.ndarray                     # running sum of errors
-
-
 def _alternating_pg(op, T, Y, A, X, project_A, project_X, rho, max_iter,
-                    eps_abs_tol, eps_rel_tol, callback) -> AapmResult:
+                    eps_abs_tol, eps_rel_tol, callback) -> FactorResult:
     """The loop of `aapm` and `cjoint` (`aapm` gives the stopping rule); its
     result holds the coefficient block `X` as `R`, ``X @ T`` as `F`, and
     ``U = None`` at ``rho = 0``."""
@@ -184,9 +185,7 @@ def _alternating_pg(op, T, Y, A, X, project_A, project_X, rho, max_iter,
 
     def value(WAc, RTc):
         """Misfit of the trial ``(WAc, RTc)``; its residual overwrites `E`."""
-        np.matmul(WAc, RTc, out=E)
-        np.subtract(Yk, E, out=E)
-        return _misfit(E), WAc
+        return _misfit(_residual(WAc, RTc, Yk, out=E)), WAc
 
     RT = X @ T
     jt, WA = value(op.forward(A), RT)
@@ -234,9 +233,8 @@ def _alternating_pg(op, T, Y, A, X, project_A, project_X, rho, max_iter,
         # decay (the opposite sign winds up and collapses the iterates)
         obj = jt                      # objective() at the new iterate, exactly
         if rho:
-            np.matmul(WA, RT, out=E)
-            np.subtract(Y, E, out=E)  # the true residual at the new iterate
-            obj = _misfit(E)
+            # the true residual at the new iterate
+            obj = _misfit(_residual(WA, RT, Y, out=E))
             E *= rho
             U += E
             np.add(Y, U, out=Yk)
@@ -261,8 +259,8 @@ def _alternating_pg(op, T, Y, A, X, project_A, project_X, rho, max_iter,
             stop_reason = "stalled"
         elif k >= max_iter:
             stop_reason = "max_iter"
-    return AapmResult(A=A, F=X @ T, history=history, stop_reason=stop_reason,
-                      step_failures=step_failures, R=X, U=U)
+    return FactorResult(A=A, F=X @ T, R=X, U=U, history=history,
+                        stop_reason=stop_reason, step_failures=step_failures)
 
 
 @dataclass
@@ -284,7 +282,7 @@ class AapmConfig:
 
 
 def aapm(op: TomoOperator, T, Y: np.ndarray, n_materials: int,
-         config: AapmConfig | None = None) -> AapmResult:
+         config: AapmConfig | None = None) -> FactorResult:
     """Dictionary-constrained joint reconstruction and unmixing.
 
     Minimizes ``0.5 ||Y - W A R T||_F^2`` over maps ``A`` in the row-capped
@@ -311,7 +309,7 @@ def aapm(op: TomoOperator, T, Y: np.ndarray, n_materials: int,
 
     Returns
     -------
-    AapmResult with feasible `A`, `R`, the per-iteration history and the
+    FactorResult with feasible `A`, `R`, the per-iteration history and the
     stop reason.
     """
     cfg = config or AapmConfig()
@@ -401,19 +399,14 @@ def cjoint(op: TomoOperator, Y: np.ndarray, n_materials: int,
         op, np.eye(C), Y, A, F, clip, clip, 0.0, cfg.max_iter, cfg.tol, 0.0,
         cfg.callback)
     A, F = _normalize_factor_scale(run.A, run.R)          # T = I: R is F
-    return FactorResult(A, F, run.history, run.stop_reason, run.step_failures)
+    return replace(run, A=A, F=F, R=None)
 
 
 def _normalize_factor_scale(A, F):
     """Fix the factorization's scale freedom: unit-max map columns."""
-    A = A.copy()
-    F = F.copy()
-    for m in range(A.shape[1]):
-        peak = A[:, m].max()
-        if peak > 0:
-            A[:, m] /= peak
-            F[m, :] *= peak
-    return A, F
+    peak = A.max(axis=0)
+    scale = np.where(peak > 0, peak, 1.0)
+    return A / scale, F * scale[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -516,34 +509,24 @@ def _clipped_lstsq(B, V):
     return np.maximum(X, 0.0)
 
 
-@dataclass
-class TwoStepResult:
-    A: np.ndarray
-    F: np.ndarray
-
-
 def ru(op: TomoOperator, Y: np.ndarray, n_materials: int,
-       config: TwoStepConfig | None = None) -> TwoStepResult:
+       config: TwoStepConfig | None = None) -> FactorResult:
     """Reconstruct-then-unmix: per-channel regularized reconstruction of
     the spectral volume, then nonnegative factorization into maps and
     spectra."""
     cfg = config or TwoStepConfig()
-    Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
     V = np.maximum(tikhonov_cg(op, Y, cfg.tikhonov_lambda,
                                cfg.cg_max_iter, cfg.cg_tol), 0.0)
     A, F, _ = nmf_als(V, n_materials, cfg.nmf_iters, cfg.nmf_restarts, cfg.seed)
-    A, F = _normalize_factor_scale(A, F)
-    return TwoStepResult(A=A, F=F)
+    return FactorResult(*_normalize_factor_scale(A, F))
 
 
 def ur(op: TomoOperator, Y: np.ndarray, n_materials: int,
-       config: TwoStepConfig | None = None) -> TwoStepResult:
+       config: TwoStepConfig | None = None) -> FactorResult:
     """Unmix-then-reconstruct: factorize the sinogram into per-material
     projections and spectra, then reconstruct each material map."""
     cfg = config or TwoStepConfig()
-    Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
     P, F, _ = nmf_als(Y, n_materials, cfg.nmf_iters, cfg.nmf_restarts, cfg.seed)
     A = np.maximum(tikhonov_cg(op, P, cfg.tikhonov_lambda,
                                cfg.cg_max_iter, cfg.cg_tol), 0.0)
-    A, F = _normalize_factor_scale(A, F)
-    return TwoStepResult(A=A, F=F)
+    return FactorResult(*_normalize_factor_scale(A, F))

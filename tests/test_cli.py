@@ -167,8 +167,8 @@ class TestReconstructEvaluate:
         assert (method_dir / "maps.adjm").exists()
         assert (method_dir / "spectra.adjm").exists()
         assert (method_dir / "history.csv").exists()
-        if method == "adjust":
-            assert (method_dir / "coeffs.adjm").exists()
+        # only the dictionary solver has coefficients
+        assert (method_dir / "coeffs.adjm").exists() == (method == "adjust")
         report = cli.cmd_evaluate(run_dir, method=method)
         assert 0.0 <= report["ssim_avg"] <= 1.0
         for path in report["artifacts"]["images"]:
@@ -810,6 +810,16 @@ class TestMainEntry:
         cfg_path.write_text(json.dumps(raw))
         assert_error_line(capsys, ["simulate", "--config", str(cfg_path)],
                           "phantom section invalid: shepp_logan needs n >= 16")
+        assert not (tmp_path / "out").exists()
+
+    def test_phantom_material_on_no_pixel_is_one_error_line(self, tmp_path,
+                                                            capsys):
+        raw = tiny_config(output_dir=str(tmp_path / "out"),
+                          phantom={"kind": "disks", "size": 8, "count": 2})
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert_error_line(capsys, ["simulate", "--config", str(cfg_path)],
+                          "phantom section invalid: disk_0 covers no pixel at n=8")
         assert not (tmp_path / "out").exists()
 
     def test_missing_config_reports_error(self, tmp_path, monkeypatch, capsys):

@@ -3,6 +3,7 @@ import hashlib
 import json
 import re
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -155,6 +156,19 @@ class TestMatrixFormat:
         path.write_bytes(b"ADJM" + struct.pack("<II", 2, 2) + b"\x00" * 8)
         with pytest.raises(FormatError, match="expected"):
             load_matrix(path)
+
+    def test_load_holds_one_copy(self, tmp_path):
+        m = np.ones((23040, 32))
+        path = tmp_path / "m.adjm"
+        save_matrix(path, m)
+        tracemalloc.start()
+        try:
+            loaded = load_matrix(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded, m)
+        assert peak <= 1.1 * m.nbytes
 
     def test_shape_read_from_the_header(self, tmp_path):
         path = tmp_path / "m.adjm"

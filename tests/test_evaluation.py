@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from spectomo import PSNR_SATURATION_DB, greedy_match, mse, psnr, ssim
+from spectomo import (PSNR_SATURATION_DB, MatchResult, greedy_match, mse,
+                      psnr, ssim)
 from spectomo.data_io import capped_psnr
 
 from oracles import greedy_match_bruteforce
@@ -29,6 +30,12 @@ class TestMetricFixtures:
         # squared-norm error: 4 pixels x 0.1^2
         assert mse(rec, self.gt) == pytest.approx(0.04, abs=1e-15)
         assert psnr(rec, self.gt) == pytest.approx(10 * np.log10(1.0 / 0.04), abs=1e-12)
+
+    def test_psnr_against_a_zero_peak_rejected(self):
+        zero = np.zeros(4)
+        assert psnr(zero, zero) == np.inf
+        with pytest.raises(ValueError, match="positive peak"):
+            psnr(self.gt, zero)
 
     def test_worked_ssim(self):
         x = np.array([0.0, 1.0, 0.0, 1.0])
@@ -141,6 +148,11 @@ class TestAggregate:
         assert m.psnr_values == [np.inf] * 3
         assert capped_psnr(m) == ([PSNR_SATURATION_DB] * 3, PSNR_SATURATION_DB)
         assert m.ssim_avg == 1.0
+
+    def test_only_an_exact_match_is_capped(self):
+        m = MatchResult(pairs=[(0, 0), (1, 1)], mse_values=[1.0, 0.0],
+                        psnr_values=[-np.inf, np.inf], ssim_values=[0.0, 1.0])
+        assert capped_psnr(m) == ([-np.inf, PSNR_SATURATION_DB], -np.inf)
 
     def test_single_material_equals_pair_value(self):
         rng = np.random.default_rng(7)

@@ -81,6 +81,12 @@ class TestDisks:
         with pytest.raises(ValueError, match="overlap"):
             _check_disjoint([(0.2, (0.0, 0.0)), (0.2, (0.3, 0.0))])
 
+    @pytest.mark.parametrize("count", [1, 2, 8, 15])
+    def test_material_on_no_pixel_rejected(self, count):
+        # at 8^2 no pixel center falls inside disk 0, centered at (0.6, 0)
+        with pytest.raises(ValueError, match="disk_0 covers no pixel at n=8"):
+            disks(8, count)
+
     def test_fifteen_disks_fit(self):
         m = disks(256, 15)
         assert np.all(m.A.sum(axis=0) > 0)
@@ -126,6 +132,10 @@ class TestMixedDisks:
             mixed_disks(64, 1)
         with pytest.raises(ValueError):
             mixed_disks(64, 7)
+
+    def test_material_on_no_pixel_rejected(self):
+        with pytest.raises(ValueError, match="material_0 covers no pixel at n=8"):
+            mixed_disks(8, 2)
 
     def test_six_materials_fit(self):
         m = mixed_disks(256, 6)          # 6 pure + 15 mixed disks
