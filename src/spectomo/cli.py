@@ -171,22 +171,33 @@ def cmd_reconstruct(out_dir: Path, method: str | None = None,
 
 def cmd_evaluate(out_dir: Path, method: str | None = None) -> dict:
     """Match reconstructed maps to the ground truth and score them; writes
-    the results CSV, per-material images, recovered spectra, and a report."""
+    the results CSV, per-material images, recovered spectra, and a report.
+    Maps or a ground truth that cannot be scored (a non-finite entry, or a
+    ground-truth column with no positive peak) raise a `FormatError` that
+    names the file, before anything is written."""
     out_dir = Path(out_dir)
     manifest = _load_manifest(out_dir)
     method = method or manifest["config"]["method"]
     method_dir = out_dir / method
-    if not (method_dir / "maps.adjm").exists():
+    maps_path = method_dir / "maps.adjm"
+    if not maps_path.exists():
         raise FileNotFoundError(f"no reconstruction for {method!r} in {out_dir}")
 
     t0 = time.perf_counter()
-    A_gt = data_io.load_matrix(out_dir / manifest["files"]["ground_truth"])
-    _check_shape(method_dir / "maps.adjm", A_gt.shape)
+    gt_path = out_dir / manifest["files"]["ground_truth"]
+    A_gt = data_io.load_matrix(gt_path)
+    _check_shape(maps_path, A_gt.shape)
     _check_shape(method_dir / "spectra.adjm",
                  (manifest["n_materials"], len(manifest["channel_centers"])))
-    A_rec = data_io.load_matrix(method_dir / "maps.adjm")
+    A_rec = data_io.load_matrix(maps_path)
     F_rec = data_io.load_matrix(method_dir / "spectra.adjm")
-    match = evaluation.greedy_match(A_rec, A_gt)
+    for path, A in ((gt_path, A_gt), (maps_path, A_rec)):
+        if not np.all(np.isfinite(A)):
+            raise FormatError(f"{path}: holds non-finite entries")
+    try:
+        match = evaluation.greedy_match(A_rec, A_gt)
+    except ValueError as exc:         # a ground-truth column with no positive peak
+        raise FormatError(f"{gt_path}: {exc}") from exc
 
     results_path = method_dir / "results.csv"
     data_io.write_results_csv(results_path, method, match)

@@ -269,15 +269,16 @@ class AapmConfig:
     max_iter: int = 1000
     eps_abs_tol: float = 1e-4
     eps_rel_tol: float = 1e-6
-    seed: Optional[int] = None
-    random_init: bool = False
-    A0: Optional[np.ndarray] = None
-    R0: Optional[np.ndarray] = None
+    seed: int = 0
+    random_init: bool = True          # kept for the configs that set it
     callback: Optional[Callable] = None
 
     def __post_init__(self):
         if not 0.0 <= self.rho < 1.0:
             raise ValueError(f"rho must lie in [0, 1), got {self.rho}")
+        if not self.random_init:
+            raise ValueError("random_init must be true: a flat start keeps "
+                             "every material map identical")
         _check_loop_settings(self, ("eps_abs_tol", "eps_rel_tol"))
 
 
@@ -286,10 +287,11 @@ def aapm(op: TomoOperator, T, Y: np.ndarray, n_materials: int,
     """Dictionary-constrained joint reconstruction and unmixing.
 
     Minimizes ``0.5 ||Y - W A R T||_F^2`` over maps ``A`` in the row-capped
-    simplex and coefficients ``R`` in the doubly capped set, alternating a
-    projected gradient step on ``R`` and then on ``A`` on the shifted data
-    ``Y + U``; the running sum of errors ``U`` starts at zero and grows by
-    ``rho (Y - W A R T)`` after each iteration (multiplier ascent).
+    simplex and coefficients ``R`` in the doubly capped set from a start
+    drawn with ``config.seed``, alternating a projected gradient step on
+    ``R`` and then on ``A`` on the shifted data ``Y + U``; the running sum
+    of errors ``U`` starts at zero and grows by ``rho (Y - W A R T)`` after
+    each iteration (multiplier ascent).
 
     Stops when either the data residual ``||Y - W A R T|| / ||Y||`` falls
     below ``eps_abs_tol`` (stop reason ``residual``), the iterate movement
@@ -322,7 +324,7 @@ def aapm(op: TomoOperator, T, Y: np.ndarray, n_materials: int,
     if Y.shape != (op.n_rays, T.shape[1]):
         raise ValueError(f"data must be {(op.n_rays, T.shape[1])}, got {Y.shape}")
 
-    A, R = _initial_point(op.n_image, M, D, cfg)
+    A, R = _initial_point(op.n_image, M, D, cfg.seed)
     run = _alternating_pg(
         op, T, Y, A, R, project_material_map, project_doubly_capped,
         cfg.rho, cfg.max_iter, cfg.eps_abs_tol, cfg.eps_rel_tol, cfg.callback)
@@ -331,20 +333,12 @@ def aapm(op: TomoOperator, T, Y: np.ndarray, n_materials: int,
     return run
 
 
-def _initial_point(N, M, D, cfg: AapmConfig):
-    if cfg.A0 is not None or cfg.R0 is not None:
-        if cfg.A0 is None or cfg.R0 is None:
-            raise ValueError("provide both A0 and R0 or neither")
-        A = project_material_map(np.asarray(cfg.A0, dtype=np.float64))
-        R = project_doubly_capped(np.asarray(cfg.R0, dtype=np.float64))
-        return A, R
-    if cfg.random_init:
-        rng = np.random.default_rng(cfg.seed)
-        A = project_material_map(rng.uniform(0.0, 1.0, (N, M)))
-        R = project_doubly_capped(rng.uniform(0.0, 1.0, (M, D)))
-        return A, R
-    A = np.full((N, M), 1.0 / (2 * M))
-    R = project_doubly_capped(np.full((M, D), 1.0 / (2 * D)))
+def _initial_point(N, M, D, seed):
+    """Seeded uniform draws, projected onto each block's feasible set: a
+    start with identical map columns keeps them identical."""
+    rng = np.random.default_rng(seed)
+    A = project_material_map(rng.uniform(0.0, 1.0, (N, M)))
+    R = project_doubly_capped(rng.uniform(0.0, 1.0, (M, D)))
     return A, R
 
 

@@ -220,6 +220,17 @@ class TestReconstructEvaluate:
             cli.cmd_reconstruct(run_dir, method=method, method_params=params)
         assert not (run_dir / method).exists()
 
+    def test_flat_start_in_the_manifest_writes_nothing(self, run_dir, capsys,
+                                                       no_operator):
+        # a run directory whose config still asks for the flat start
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        manifest["config"]["method_params"]["random_init"] = False
+        (run_dir / "manifest.json").write_text(json.dumps(manifest))
+        before = sorted(run_dir.rglob("*"))
+        assert_error_line(capsys, ["reconstruct", "--out", str(run_dir)],
+                          "random_init must be true")
+        assert sorted(run_dir.rglob("*")) == before
+
     def test_reconstruct_without_simulate_fails(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="simulate"):
             cli.cmd_reconstruct(tmp_path / "empty")
@@ -257,6 +268,20 @@ class TestReconstructEvaluate:
         assert_error_line(capsys, ["evaluate", "--out", str(run_dir)], re.escape(
             f"{method_dir / 'spectra.adjm'}: holds a (2, 3) matrix, "
             "expected (2, 5)\n"))
+        assert not (method_dir / "results.csv").exists()
+
+    @pytest.mark.parametrize("name,message", [
+        ("ground_truth.adjm", "PSNR needs a reference with a positive peak, got 0.0"),
+        ("adjust/maps.adjm", "holds non-finite entries"),
+    ], ids=["zero-peak-truth", "non-finite-maps"])
+    def test_evaluate_refuses_a_run_it_cannot_score(self, run_dir, capsys,
+                                                     name, message):
+        method_dir = cli.cmd_reconstruct(run_dir, method_params={"max_iter": 2})
+        A = data_io.load_matrix(run_dir / name)
+        A[:, 1] = 0.0 if name == "ground_truth.adjm" else np.nan
+        data_io.save_matrix(run_dir / name, A)
+        assert_error_line(capsys, ["evaluate", "--out", str(run_dir)],
+                          re.escape(f"{run_dir / name}: {message}\n"))
         assert not (method_dir / "results.csv").exists()
 
     def test_malformed_meta_names_file_and_line(self, run_dir):
@@ -883,3 +908,17 @@ def test_benchmark_round_runs_and_passes_its_checks(tmp_path, monkeypatch):
     assert failures == []
     assert set(ssims) == set(workload["methods"])
     assert run.solver_figures(rnd.run_dir)[1] == 3
+
+
+def test_benchmark_workload_inputs_are_accepted(monkeypatch):
+    # the round test above runs its own small workload; this one checks that
+    # every workload BENCHMARK.json declares still passes the package's checks
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    run = load_benchmark_module("run")
+    declared = json.loads((run.ROOT / "BENCHMARK.json").read_text())["workloads"]
+    assert set(run.WORKLOADS) == {w["name"] for w in declared}
+    for name, workload in run.WORKLOADS.items():
+        data_io.parse_config(run.raw_config(workload, 1, cli))
+        for method, params in workload["methods"].items():
+            data_io.method_config(method, params, run.RECONSTRUCT_SEED)

@@ -164,6 +164,7 @@ class TestAapm:
         assert cfg.max_iter == 1000
         assert cfg.eps_abs_tol == pytest.approx(1e-4)
         assert cfg.eps_rel_tol == pytest.approx(1e-6)
+        assert cfg.seed == 0
 
     def test_rho_range_validated(self):
         with pytest.raises(ValueError):
@@ -172,17 +173,38 @@ class TestAapm:
             AapmConfig(rho=-0.1)
         AapmConfig(rho=0.0)                    # boundary value is allowed
 
+    def test_default_start_splits_the_materials(self):
+        # a flat start would keep every map column identical for good
+        op, T, A_true, R_true, Y = exact_instance()
+        res = aapm(op, T, Y, 2, AapmConfig(max_iter=20))
+        assert np.max(np.abs(res.A[:, 0] - res.A[:, 1])) > 0.1
+        seeded = aapm(op, T, Y, 2, AapmConfig(max_iter=20, random_init=True,
+                                              seed=0))
+        assert np.array_equal(res.A, seeded.A)
+
+    def test_flat_start_refused(self):
+        with pytest.raises(ValueError, match="random_init must be true"):
+            AapmConfig(random_init=False)
+
     def test_zero_data_zero_start_is_fixed_point(self):
         op, T, A, R, U, Y = small_problem()
-        cfg = AapmConfig(A0=np.zeros_like(A), R0=np.zeros_like(R), max_iter=50)
-        res = aapm(op, T, 0 * Y, A.shape[1], cfg)
+        cfg = AapmConfig(max_iter=50)
+
+        def aapm_from_zero(data):
+            """`aapm`'s loop and settings, started at A = 0, R = 0."""
+            return solvers._alternating_pg(
+                op, T, data, np.zeros_like(A), np.zeros_like(R),
+                solvers.project_material_map, solvers.project_doubly_capped,
+                cfg.rho, cfg.max_iter, cfg.eps_abs_tol, cfg.eps_rel_tol, None)
+
+        res = aapm_from_zero(0 * Y)
         assert res.n_iter == 1
         assert res.converged and res.stop_reason == "residual"
         assert res.history[0].eps_rel == 0.0
         assert np.all(res.A == 0) and np.all(res.R == 0)
         # both gradients vanish at A = 0, R = 0 whatever the data, so on
         # nonzero data the run stops there too, far from fitting it
-        res = aapm(op, T, Y, A.shape[1], cfg)
+        res = aapm_from_zero(Y)
         assert res.n_iter == 1 and np.all(res.A == 0) and np.all(res.R == 0)
         assert res.history[0].eps_abs > cfg.eps_abs_tol
         assert res.converged and res.stop_reason == "stationary"
@@ -277,11 +299,6 @@ class TestAapm:
         b = aapm(op, T, Y, 2, AapmConfig(max_iter=15, random_init=True, seed=9))
         assert np.array_equal(a.A, b.A)
         assert np.array_equal(a.R, b.R)
-
-    def test_partial_init_rejected(self):
-        op, T, A, R, U, Y = small_problem()
-        with pytest.raises(ValueError):
-            aapm(op, T, Y, 2, AapmConfig(A0=np.zeros_like(A)))
 
     def test_nonfinite_objective_aborts_with_diagnostic(self):
         op, T, A, R, U, Y = small_problem()
