@@ -172,9 +172,9 @@ def cmd_reconstruct(out_dir: Path, method: str | None = None,
 def cmd_evaluate(out_dir: Path, method: str | None = None) -> dict:
     """Match reconstructed maps to the ground truth and score them; writes
     the results CSV, per-material images, recovered spectra, and a report.
-    Maps or a ground truth that cannot be scored (a non-finite entry, or a
-    ground-truth column with no positive peak) raise a `FormatError` that
-    names the file, before anything is written."""
+    Maps, spectra or a ground truth that cannot be scored (a non-finite
+    entry, or a ground-truth column with no positive peak) raise a
+    `FormatError` that names the file, before anything is written."""
     out_dir = Path(out_dir)
     manifest = _load_manifest(out_dir)
     method = method or manifest["config"]["method"]
@@ -185,15 +185,12 @@ def cmd_evaluate(out_dir: Path, method: str | None = None) -> dict:
 
     t0 = time.perf_counter()
     gt_path = out_dir / manifest["files"]["ground_truth"]
-    A_gt = data_io.load_matrix(gt_path)
+    A_gt = _load_finite(gt_path)
     _check_shape(maps_path, A_gt.shape)
     _check_shape(method_dir / "spectra.adjm",
                  (manifest["n_materials"], len(manifest["channel_centers"])))
-    A_rec = data_io.load_matrix(maps_path)
-    F_rec = data_io.load_matrix(method_dir / "spectra.adjm")
-    for path, A in ((gt_path, A_gt), (maps_path, A_rec)):
-        if not np.all(np.isfinite(A)):
-            raise FormatError(f"{path}: holds non-finite entries")
+    A_rec = _load_finite(maps_path)
+    F_rec = _load_finite(method_dir / "spectra.adjm")
     try:
         match = evaluation.greedy_match(A_rec, A_gt)
     except ValueError as exc:         # a ground-truth column with no positive peak
@@ -292,8 +289,9 @@ def _configured_params(manifest: dict, method: str) -> dict:
 def _load_problem(out_dir: Path, manifest: dict):
     """The operator, data, dictionary and material count of a simulated run,
     read from its manifest and files alone; a file whose shape disagrees
-    with the manifest fails before the operator is built.  The data are
-    loaded after the build, whose transients they would otherwise add to."""
+    with the manifest fails before the operator is built, and one with a
+    non-finite entry before anything is solved.  The data are loaded after
+    the build, whose transients they would otherwise add to."""
     files, g = manifest["files"], manifest["grid"]
     n_channels = len(manifest["channel_centers"])
     _check_shape(out_dir / files["sinogram"],
@@ -303,9 +301,18 @@ def _load_problem(out_dir: Path, manifest: dict):
     geometry = ParallelGeometry(angles=manifest["angles"], n_det=manifest["n_det"],
                                 det_spacing=manifest["det_spacing"])
     return (TomoOperator(Grid2D(g["nx"], g["ny"], g["pixel_size"]), geometry),
-            data_io.load_matrix(out_dir / files["sinogram"]),
-            data_io.load_matrix(out_dir / files["dictionary"]),
+            _load_finite(out_dir / files["sinogram"]),
+            _load_finite(out_dir / files["dictionary"]),
             manifest["n_materials"])
+
+
+def _load_finite(path: Path) -> np.ndarray:
+    """The matrix file `path` of the run directory; a `FormatError` naming
+    it if an entry is not finite."""
+    A = data_io.load_matrix(path)
+    if not np.all(np.isfinite(A)):
+        raise FormatError(f"{path}: holds non-finite entries")
+    return A
 
 
 def _check_shape(path: Path, shape: tuple) -> None:

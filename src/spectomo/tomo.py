@@ -22,14 +22,28 @@ that length, at about 12 bytes each (a float64 value and an int32 column
 index): 57 MiB for a 128x128 grid with 180 angles and 128 detectors.
 Assembly briefly holds every slot, zeros included (69 MiB there), and takes
 about 70 ms there on one core.
+
+Where the process may run on two or more CPUs, ``forward`` splits ``W`` at
+the row that halves its nonzeros: the calling thread computes one half and
+one persistent worker thread the other, each into its own rows of one
+output, with the CSR kernel that ``W @ X`` calls.  The kernel releases the
+GIL, and every ray sums its entries in the same order as in ``W @ X``, so
+the output is bit for bit the same whatever the CPU count.  The halves are
+views of ``W``'s arrays, not copies.  ``adjoint`` runs on the calling
+thread alone: split by rows, each pixel would sum its entries in another
+order.
 """
 
 from __future__ import annotations
 
+import functools
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 
 def _check_count(name: str, value) -> None:
@@ -112,22 +126,75 @@ def equispaced_angles(count: int, start: float = 0.0, stop: float = np.pi) -> np
     return np.linspace(start, stop, count, endpoint=False)
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on (all of the machine's where the OS
+    cannot say)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+@functools.cache
+def _forward_worker() -> ThreadPoolExecutor:
+    """The process's forward worker, started on first use."""
+    return ThreadPoolExecutor(1, thread_name_prefix="spectomo-forward")
+
+
+# a forked child has none of its parent's threads: a forward there that
+# waited on the parent's worker would hang, so the child starts its own
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forward_worker.cache_clear)
+
+
+def _csr_rows(W: sparse.csr_array, lo: int, hi: int):
+    """Rows ``lo:hi`` of `W` as ``(indptr, indices, data)`` views of its
+    arrays: ``indptr`` is sliced and still points into the whole of the
+    other two.  A ``csr_array`` built from such views would copy them."""
+    return W.indptr[lo:hi + 1], W.indices, W.data
+
+
+def _rows_product(W: sparse.csr_array, lo: int, hi: int, x: np.ndarray,
+                  out: np.ndarray) -> None:
+    """Add rows ``lo:hi`` of ``W @ x`` into the same rows of `out`, with the
+    kernel ``W @ x`` calls for x's width (a vector kernel for one column)."""
+    indptr, indices, data = _csr_rows(W, lo, hi)
+    n, k = x.shape
+    rows = out[lo:hi].ravel()             # a view: out is C-contiguous
+    if k == 1:
+        _sparsetools.csr_matvec(hi - lo, n, indptr, indices, data, x.ravel(), rows)
+    else:
+        _sparsetools.csr_matvecs(hi - lo, n, k, indptr, indices, data, x.ravel(), rows)
+
+
 @dataclass(frozen=True)
 class TomoOperator:
     """Discrete line-integral operator, assembled once as a sparse matrix.
 
     ``W`` is a ``(n_rays, n_image)`` CSR matrix holding the Joseph weights
     of every ray, so ``forward`` is ``W @ X`` and ``adjoint`` is
-    ``W.T @ Y``.  The operator keeps no other state and is immutable after
-    construction, so it is safe for concurrent use.
+    ``W.T @ Y``.  When the process may use two or more CPUs, ``forward``
+    computes the rows below ``split_row`` on the calling thread and the
+    rest on the process's forward worker thread (see the module
+    docstring).  ``split_row`` is 0 for an operator with fewer than two
+    rays, whose ``forward`` is always the single call.  The operator keeps
+    no other state and is immutable after construction, and each call
+    writes only its own output, so it is safe for concurrent use.
     """
 
     grid: Grid2D
     geometry: ParallelGeometry
     W: sparse.csr_array = field(init=False, repr=False, compare=False)
+    split_row: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "W", self._assemble())
+        W = self._assemble()
+        object.__setattr__(self, "W", W)
+        # the row that halves the nonzeros, so both halves take about as long
+        split_row = 0
+        if self.n_rays > 1:
+            split_row = int(np.clip(np.searchsorted(W.indptr, W.nnz // 2), 1, self.n_rays - 1))
+        object.__setattr__(self, "split_row", split_row)
 
     @property
     def n_image(self) -> int:
@@ -152,7 +219,16 @@ class TomoOperator:
         x, single = self._check_vec(image, self.n_image, "image")
         if not np.all(np.isfinite(x)):
             raise ValueError("image contains non-finite entries")
-        out = self.W @ x
+        if self.split_row and _cpu_count() >= 2:
+            out = np.zeros((self.n_rays, x.shape[1]))
+            upper = _forward_worker().submit(_rows_product, self.W, self.split_row,
+                                             self.n_rays, x, out)
+            try:
+                _rows_product(self.W, 0, self.split_row, x, out)
+            finally:
+                upper.result()
+        else:
+            out = self.W @ x
         return out[:, 0] if single else out
 
     def adjoint(self, sino: np.ndarray) -> np.ndarray:

@@ -251,6 +251,16 @@ class TestReconstructEvaluate:
             f"{run_dir / name}: holds a {shape} matrix, expected {expected}\n"))
         assert not (run_dir / "adjust").exists()
 
+    @pytest.mark.parametrize("name", ["sinogram.adjm", "dictionary.adjm"],
+                             ids=["sinogram", "dictionary"])
+    def test_reconstruct_refuses_a_non_finite_input(self, run_dir, capsys, name):
+        A = data_io.load_matrix(run_dir / name)
+        A[3, 1] = np.nan
+        data_io.save_matrix(run_dir / name, A)
+        assert_error_line(capsys, ["reconstruct", "--out", str(run_dir)], re.escape(
+            f"{run_dir / name}: holds non-finite entries\n"))
+        assert not (run_dir / "adjust").exists()
+
     def test_evaluate_rejects_maps_of_another_run(self, run_dir, capsys):
         # re-simulating a 16x16 config into the 24x24 run leaves its maps stale
         cli.cmd_reconstruct(run_dir, method_params={"max_iter": 2})
@@ -273,7 +283,8 @@ class TestReconstructEvaluate:
     @pytest.mark.parametrize("name,message", [
         ("ground_truth.adjm", "PSNR needs a reference with a positive peak, got 0.0"),
         ("adjust/maps.adjm", "holds non-finite entries"),
-    ], ids=["zero-peak-truth", "non-finite-maps"])
+        ("adjust/spectra.adjm", "holds non-finite entries"),
+    ], ids=["zero-peak-truth", "non-finite-maps", "non-finite-spectra"])
     def test_evaluate_refuses_a_run_it_cannot_score(self, run_dir, capsys,
                                                      name, message):
         method_dir = cli.cmd_reconstruct(run_dir, method_params={"max_iter": 2})

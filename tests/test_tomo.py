@@ -1,10 +1,16 @@
 import hashlib
+import os
+import signal
 import sys
+import time
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from spectomo import Grid2D, ParallelGeometry, TomoOperator, equispaced_angles
+from spectomo import tomo
 
 from oracles import dense_reference_projector, siddon_row
 
@@ -154,6 +160,89 @@ class TestForward:
         op = make_op(n=16, n_angles=12)
         x = np.random.default_rng(4).normal(size=op.n_image)
         assert np.array_equal(op.forward(x), op.forward(x))
+
+
+@pytest.fixture()
+def two_cpus(monkeypatch):
+    """Take the split forward whatever CPUs this process may use."""
+    monkeypatch.setattr(tomo, "_cpu_count", lambda: 2)
+
+
+class TestSplitForward:
+    # forward computes W's rows below split_row on the calling thread and
+    # the rest on a worker thread; each ray must sum exactly as in W @ x
+
+    @pytest.mark.parametrize("cpus", [2, 1])
+    @pytest.mark.parametrize("k", [1, 32])
+    @pytest.mark.parametrize("n_angles,n_det", [(7, 9), (1, 1)], ids=["63-rays", "one-ray"])
+    def test_bit_identical_to_the_single_product(self, monkeypatch, cpus, k,
+                                                 n_angles, n_det):
+        monkeypatch.setattr(tomo, "_cpu_count", lambda: cpus)
+        op = make_op(n=16, n_angles=n_angles, n_det=n_det)
+        assert (0 < op.split_row < op.n_rays) == (op.n_rays > 1)
+        X = np.random.default_rng(k).normal(size=(op.n_image, k))
+        assert np.array_equal(op.forward(X), op.W @ X)
+        assert np.array_equal(op.forward(X[:, 0]), op.W @ X[:, 0])
+
+    def test_split_row_halves_the_nonzeros(self):
+        op = make_op(n=16, n_angles=7, n_det=9)
+        below = op.W.indptr[op.split_row]
+        assert abs(2 * below - op.W.nnz) <= 2 * np.diff(op.W.indptr).max()
+
+    def test_halves_are_views_of_w(self, two_cpus):
+        op = make_op(n=64, n_angles=60)
+        W = op.W
+        for lo, hi in ((0, op.split_row), (op.split_row, op.n_rays)):
+            for half, whole in zip(tomo._csr_rows(W, lo, hi),
+                                   (W.indptr, W.indices, W.data)):
+                assert np.shares_memory(half, whole)
+        # and a forward allocates little beyond its output, far below W
+        x = np.ones(op.n_image)
+        op.forward(x)                     # the worker is started
+        tracemalloc.start()
+        try:
+            out = op.forward(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * (out.nbytes + x.nbytes) + 65536 < W.data.nbytes
+
+    def test_concurrent_callers_get_their_own_results(self, two_cpus):
+        # more callers than cores, switching threads often, all sharing
+        # one worker: a result written into another caller's output fails
+        op = make_op(n=16, n_angles=12)
+        X = [np.random.default_rng(i).normal(size=(op.n_image, 1 + i % 3)) for i in range(48)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                got = list(pool.map(op.forward, X, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(g, op.W @ x) for g, x in zip(got, X))
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forward_in_a_forked_child_finishes(self, two_cpus):
+        # the parent's worker thread does not exist in a forked child; a
+        # forward there that waited on it would hang, so wait with a timeout
+        op = make_op(n=16, n_angles=7, n_det=9)
+        x = np.random.default_rng(5).normal(size=op.n_image)
+        expected = op.forward(x)          # the parent's worker is started
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = 0 if np.array_equal(op.forward(x), expected) else 3
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 20.0
+        while (status := os.waitpid(pid, os.WNOHANG))[0] == 0:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("forward in a forked child did not finish in 20 s")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(status[1]) == 0
 
 
 class TestAdjoint:
