@@ -79,9 +79,8 @@ def project_doubly_capped(Z: np.ndarray) -> np.ndarray:
     iterate with a warning rather than raising.
 
     Each sweep checks its input once: the row step is the public, checked
-    projection (the first one sees `Z` itself, and the benchmark's tracer
-    counts a sweep by this call), and the column step, whose input is
-    built from finite iterates, skips the check.
+    projection (the first one sees `Z` itself), and the column step, whose
+    input is built from finite iterates, skips the check.
     """
     Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
     X = Z.copy()

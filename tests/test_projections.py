@@ -127,26 +127,6 @@ class TestDoublyCapped:
         with pytest.raises(ValueError, match="non-finite"):
             project_doubly_capped(np.array([[0.2, bad], [0.1, 0.4]]))
 
-    def test_each_sweep_checks_its_input_once(self, monkeypatch):
-        # the row step is the public, checked projection, one call a sweep
-        # (the benchmark's tracer counts sweeps by it); the column step
-        # goes to the unchecked helper
-        calls = {"checked": 0, "unchecked": 0}
-
-        def counted(name, fn):
-            def wrapper(Z):
-                calls[name] += 1
-                return fn(Z)
-            return wrapper
-
-        monkeypatch.setattr(projections, "project_rows_capped_simplex",
-                            counted("checked", projections.project_rows_capped_simplex))
-        monkeypatch.setattr(projections, "_rows_capped",
-                            counted("unchecked", projections._rows_capped))
-        project_doubly_capped(np.random.default_rng(8).normal(scale=2.0, size=(5, 12)))
-        assert calls["checked"] > 1
-        assert calls["unchecked"] == 2 * calls["checked"]
-
     def test_nonconvergence_warns_not_raises(self, monkeypatch):
         monkeypatch.setattr(projections, "DYKSTRA_MAX_SWEEPS", 1)
         Z = np.full((3, 3), 5.0)

@@ -190,13 +190,10 @@ class TestSplitForward:
         assert abs(2 * below - op.W.nnz) <= 2 * np.diff(op.W.indptr).max()
 
     def test_halves_are_views_of_w(self, two_cpus):
+        # a forward allocates little beyond its output, far below W: a
+        # half copied out of W would show in the peak
         op = make_op(n=64, n_angles=60)
         W = op.W
-        for lo, hi in ((0, op.split_row), (op.split_row, op.n_rays)):
-            for half, whole in zip(tomo._csr_rows(W, lo, hi),
-                                   (W.indptr, W.indices, W.data)):
-                assert np.shares_memory(half, whole)
-        # and a forward allocates little beyond its output, far below W
         x = np.ones(op.n_image)
         op.forward(x)                     # the worker is started
         tracemalloc.start()
