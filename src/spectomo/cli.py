@@ -32,6 +32,12 @@ PRESETS = {"full": (180, np.pi, False), "sparse-angle": (10, np.pi, False),
            "sparse-channel": (60, np.pi, True)}
 _PRESET_CHOICES = f"{', '.join(PRESETS)} or noisy-<percent>"
 DEFAULT_RHO_SWEEP = (0.0, 0.01, 0.1)
+# the keys of manifest.json that `reconstruct`, `evaluate` and `sweep-rho`
+# read, a dot marking a key of an object within it
+MANIFEST_KEYS = ("grid.nx", "grid.ny", "grid.pixel_size", "angles", "n_det",
+                 "det_spacing", "n_materials", "seed", "channel_centers",
+                 "files.sinogram", "files.dictionary", "files.ground_truth",
+                 "config.method", "dictionary_names")
 
 # glibc's malloc keeps freed pages inside its heap (all but a large enough
 # free top), and how many depends on where the arrays happened to land: the
@@ -140,7 +146,8 @@ def cmd_reconstruct(out_dir: Path, method: str | None = None,
     out_dir = Path(out_dir)
     manifest = _load_manifest(out_dir)
     method = method or manifest["config"]["method"]
-    params = {**_configured_params(manifest, method), **(method_params or {})}
+    params = {**_configured_params(manifest["config"], method),
+              **(method_params or {})}
     if seed is None:
         seed = manifest["seed"]
     data_io.method_config(method, params, seed)   # fail before any work
@@ -173,8 +180,9 @@ def cmd_evaluate(out_dir: Path, method: str | None = None) -> dict:
     """Match reconstructed maps to the ground truth and score them; writes
     the results CSV, per-material images, recovered spectra, and a report.
     Maps, spectra or a ground truth that cannot be scored (a non-finite
-    entry, or a ground-truth column with no positive peak) raise a
-    `FormatError` that names the file, before anything is written."""
+    entry, or a ground-truth column with no positive peak), or a
+    ``reconstruct_meta.json`` without its ``seconds``, raise a `FormatError`
+    that names the file, before anything is written."""
     out_dir = Path(out_dir)
     manifest = _load_manifest(out_dir)
     method = method or manifest["config"]["method"]
@@ -195,6 +203,10 @@ def cmd_evaluate(out_dir: Path, method: str | None = None) -> dict:
         match = evaluation.greedy_match(A_rec, A_gt)
     except ValueError as exc:         # a ground-truth column with no positive peak
         raise FormatError(f"{gt_path}: {exc}") from exc
+    meta_path = method_dir / "reconstruct_meta.json"
+    solve_seconds = None
+    if meta_path.exists():
+        solve_seconds = _read_object(meta_path, ("seconds",))["seconds"]
 
     results_path = method_dir / "results.csv"
     data_io.write_results_csv(results_path, method, match)
@@ -210,11 +222,6 @@ def cmd_evaluate(out_dir: Path, method: str | None = None) -> dict:
 
     spectra_path = method_dir / "spectra_recovered.csv"
     data_io.write_spectra_csv(spectra_path, F_rec, manifest["channel_centers"])
-
-    meta_path = method_dir / "reconstruct_meta.json"
-    solve_seconds = None
-    if meta_path.exists():
-        solve_seconds = data_io.read_json(meta_path)["seconds"]
 
     psnr, psnr_avg = data_io.capped_psnr(match)
     report = {
@@ -248,17 +255,14 @@ def cmd_sweep_rho(out_dir: Path, rho_list=DEFAULT_RHO_SWEEP,
     directly comparable across the sweep."""
     out_dir = Path(out_dir)
     manifest = _load_manifest(out_dir)
-    params = _configured_params(manifest, "adjust")
+    params = {**_configured_params(manifest["config"], "adjust")}
     if max_iter is not None:
         params["max_iter"] = max_iter
     names = {}                                    # file name -> rho
     for rho in dict.fromkeys(rho_list):           # fail before any work
         data_io.method_config("adjust", {**params, "rho": rho})
-        name = f"history_rho_{rho:g}.csv"
-        if name in names:
-            raise FormatError(f"rho values {names[name]!r} and {rho!r} would "
-                              f"both write {name}")
-        names[name] = rho
+        # the shortest form that reads back as rho: distinct values, distinct names
+        names[f"history_rho_{str(float(rho)).removesuffix('.0')}.csv"] = rho
 
     problem = _load_problem(out_dir, manifest)
     sweep_dir = out_dir / "sweep"
@@ -279,11 +283,10 @@ def cmd_pipeline(cfg: RunConfig, out_dir: Path,
     return report
 
 
-def _configured_params(manifest: dict, method: str) -> dict:
-    """The configured `method_params` if `method` is the configured method:
-    they apply to no other."""
-    config = manifest["config"]
-    return dict(config.get("method_params", {})) if method == config["method"] else {}
+def _configured_params(config: dict, method: str):
+    """The `method_params` of the raw config `config` if `method` is its
+    `method`: they apply to no other method."""
+    return config.get("method_params", {}) if method == config.get("method") else {}
 
 
 def _load_problem(out_dir: Path, manifest: dict):
@@ -339,11 +342,36 @@ def _solve(method: str, problem, params: dict, seed: int, history_path: Path):
 
 
 def _load_manifest(out_dir: Path) -> dict:
+    """The run directory's manifest: a JSON object holding every key of
+    `MANIFEST_KEYS`, with an `n_materials` from 1 to the number of
+    `dictionary_names`; anything else raises a `FormatError` naming the
+    file and the key."""
     path = Path(out_dir) / "manifest.json"
     if not path.exists():
         raise FileNotFoundError(
             f"{path} not found; run `spectomo simulate` first")
-    return data_io.read_json(path)
+    manifest = _read_object(path, MANIFEST_KEYS)
+    n, names = manifest["n_materials"], manifest["dictionary_names"]
+    if not (type(n) is int and isinstance(names, list) and 1 <= n <= len(names)):
+        raise FormatError(f"{path}: n_materials must be an integer from 1 to "
+                          f"the number of dictionary_names, got {n!r}")
+    return manifest
+
+
+def _read_object(path: Path, keys) -> dict:
+    """The JSON object in the file at `path`, holding each of `keys` (``a.b``
+    is key ``b`` of the object at ``a``); another JSON value or a missing
+    key raises a `FormatError` naming the file and the key."""
+    value = data_io.read_json(path)
+    if not isinstance(value, dict):
+        raise FormatError(f"{path}: must hold a JSON object")
+    for key in keys:
+        owner = value
+        for part in key.split("."):
+            if not (isinstance(owner, dict) and part in owner):
+                raise FormatError(f"{path}: missing key {key!r}")
+            owner = owner[part]
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +425,7 @@ def _resolve_config(args) -> tuple[RunConfig, Path]:
         if args.seed is not None:
             raw["seed"] = args.seed
         if args.method:
+            raw["method_params"] = _configured_params(raw, args.method)
             raw["method"] = args.method
         return raw
 

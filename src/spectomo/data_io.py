@@ -40,6 +40,11 @@ METHOD_PARAMS = {
 # the key of the phantom section that holds its material count
 PHANTOM_KINDS = {"shepp_logan": "materials", "disks": "count",
                  "mixed_disks": "materials"}
+# the sections every config holds, then its optional top-level keys
+_REQUIRED_KEYS = ("phantom", "geometry", "binning", "dictionary", "source",
+                  "method", "output_dir")
+_OPTIONAL_KEYS = ("config_version", "seed", "noise", "method_params",
+                  "material_rows", "channel_selection")
 
 
 class FormatError(ValueError):
@@ -320,15 +325,16 @@ def parse_config(raw: dict, base_dir: Path | str = ".") -> RunConfig:
     builder below, and kept in the `RunConfig`, so a bad one fails before
     anything is simulated or written, with a `FormatError` that starts with
     its name; only the phantom generator's own limits wait for `simulate`,
-    which reports them the same way."""
+    which reports them the same way.  A key that nothing reads, at the top
+    level or in a section, is refused."""
     _check_object(raw)
     raw = copy.deepcopy(raw)
     version = raw.get("config_version")
     if version != CONFIG_VERSION:
         raise FormatError(f"unsupported config_version {version!r}, "
                           f"expected {CONFIG_VERSION}")
-    for key in ("phantom", "geometry", "binning", "dictionary", "source",
-                "method", "output_dir"):
+    _only(raw, "the config", _REQUIRED_KEYS + _OPTIONAL_KEYS)
+    for key in _REQUIRED_KEYS:
         if key not in raw:
             raise FormatError(f"config missing required section {key!r}")
 
@@ -368,9 +374,21 @@ def _resolve_csv_path(raw: dict, section: str, base_dir) -> None:
         spec["path"] = str(csv_path)
 
 
-def _section(raw: dict, name: str) -> dict:
-    """The config section `name`, which must be a JSON object."""
-    return _value(raw.get(name, {}), name, dict)
+def _section(raw: dict, name: str, keys=None) -> dict:
+    """The config section `name`, which must be a JSON object, holding no
+    key outside `keys` if they are given."""
+    spec = _value(raw.get(name, {}), name, dict)
+    return spec if keys is None else _only(spec, name, keys)
+
+
+def _only(spec: dict, name: str, keys) -> dict:
+    """`spec`, the config object `name`, if it holds no key outside `keys`:
+    nothing would read such a key, so a misspelt one would go unnoticed."""
+    unknown = sorted(set(spec) - set(keys))
+    if unknown:
+        raise FormatError(f"unknown key {unknown[0]!r} in {name}; expected "
+                          f"one of {', '.join(keys)}")
+    return spec
 
 
 def _grid(raw: dict) -> Grid2D:
@@ -380,8 +398,10 @@ def _grid(raw: dict) -> Grid2D:
 
 
 def _parallel_geometry(raw: dict) -> ParallelGeometry:
-    spec = _section(raw, "geometry")
+    spec = _section(raw, "geometry", ("angles", "detectors", "detector_spacing"))
     ang = _value(spec["angles"], "angles", dict)
+    _only(ang, "geometry.angles",
+          ("list",) if "list" in ang else ("count", "start", "stop"))
     if "list" in ang:
         angles = np.array([_value(a, "angle")
                            for a in _value(ang["list"], "angles.list", list)],
@@ -411,11 +431,12 @@ def _n_phantom_materials(raw: dict) -> int:
         raise ValueError(f"unknown phantom kind {kind!r}; "
                          f"choose from {tuple(PHANTOM_KINDS)}")
     key = PHANTOM_KINDS[kind]
+    _only(phantom, "phantom", ("kind", "size", "pixel_size", key))
     return _value(phantom[key], key, int)
 
 
 def _channel_binning(raw: dict) -> ChannelBinning:
-    b = _section(raw, "binning")
+    b = _section(raw, "binning", ("channels", "energy_min", "energy_max"))
     return ChannelBinning.equidistant(_value(b["channels"], "channels", int),
                                       _value(b["energy_min"], "energy_min"),
                                       _value(b["energy_max"], "energy_max"))
@@ -424,11 +445,13 @@ def _channel_binning(raw: dict) -> ChannelBinning:
 def _spectral_dictionary(raw: dict, binning: ChannelBinning) -> SpectralDictionary:
     spec = _section(raw, "dictionary")
     if spec["type"] == "synthetic":
+        _only(spec, "dictionary", ("type", "materials", "peak", "edge_jump"))
         return spectral.kedge_dictionary(
             _value(spec["materials"], "materials", int), binning,
             peak=_value(spec.get("peak", 0.1), "peak"),
             edge_jump=_value(spec.get("edge_jump", 6.0), "edge_jump"))
     if spec["type"] == "csv":
+        _only(spec, "dictionary", ("type", "path"))
         return spectral.bin_attenuation(load_attenuation_csv(spec["path"]),
                                         binning)
     raise ValueError(f"unknown dictionary type {spec['type']!r}")
@@ -437,16 +460,18 @@ def _spectral_dictionary(raw: dict, binning: ChannelBinning) -> SpectralDictiona
 def _source_spectrum(raw: dict, binning: ChannelBinning) -> SourceSpectrum:
     spec = _section(raw, "source")
     if spec["type"] == "flat":
+        _only(spec, "source", ("type", "photons"))
         return SourceSpectrum.flat(
             binning.n_channels, _value(spec.get("photons", 1e4), "photons"))
     if spec["type"] == "csv":
+        _only(spec, "source", ("type", "path", "scale"))
         return source_from_csv(spec["path"], binning,
                                scale=_value(spec.get("scale", 1.0), "scale"))
     raise ValueError(f"unknown source type {spec['type']!r}")
 
 
 def _noise_config(raw: dict) -> NoiseConfig:
-    noise = _section(raw, "noise")
+    noise = _section(raw, "noise", ("poisson", "gaussian_percent"))
     return NoiseConfig(
         poisson=_value(noise.get("poisson", False), "poisson", bool),
         gaussian_percent=_value(noise.get("gaussian_percent", 0.0),
@@ -479,7 +504,7 @@ def _channel_count(raw: dict, n_dict: int, n_channels: int) -> int | None:
     one per dictionary entry."""
     if raw.get("channel_selection") is None:
         return None
-    count = _section(raw, "channel_selection").get("count")
+    count = _section(raw, "channel_selection", ("count",)).get("count")
     k = n_dict if count == "dictionary" else count
     if not (type(k) is int and 1 <= k <= n_channels):
         raise ValueError(f"count must be an integer in [1, {n_channels}] "

@@ -100,15 +100,12 @@ def shepp_logan(n: int, n_materials: int, grid: Grid2D | None = None) -> Materia
         raise ValueError(
             f"only {levels.size} grey levels present at n={n}; "
             f"cannot form {n_materials} materials")
-    if grid is None:
-        grid = Grid2D(n, n)
     A = np.zeros((n * n, n_materials))
     flat = grey.ravel()
     for rank, level in enumerate(levels):
         cls = rank * n_materials // levels.size
         A[flat == level, cls] = 1.0
-    return MaterialMap(A=A, grid=grid,
-                       labels=[f"class_{m}" for m in range(n_materials)])
+    return _rendered(A, grid, [f"class_{m}" for m in range(n_materials)], n)
 
 
 def disks(n: int, n_disks: int, grid: Grid2D | None = None) -> MaterialMap:
@@ -117,8 +114,6 @@ def disks(n: int, n_disks: int, grid: Grid2D | None = None) -> MaterialMap:
         raise ValueError("disks supports 1..15 disks")
     centers = _ring_centers(_DISK_RING_RADIUS, n_disks)
     _check_disjoint([(_DISK_RADIUS, c) for c in centers])
-    if grid is None:
-        grid = Grid2D(n, n)
     A = np.zeros((n * n, n_disks))
     for m, c in enumerate(centers):
         A[_disk_mask(n, c, _DISK_RADIUS).ravel(), m] = 1.0
@@ -133,8 +128,6 @@ def mixed_disks(n: int, n_materials: int, grid: Grid2D | None = None) -> Materia
     inner = _ring_centers(_MIXED_INNER_RADIUS, n_materials)
     outer = _ring_centers(_MIXED_OUTER_RADIUS, len(pairs))
     _check_disjoint([(_DISK_RADIUS, c) for c in inner + outer])
-    if grid is None:
-        grid = Grid2D(n, n)
     A = np.zeros((n * n, n_materials))
     for m, c in enumerate(inner):
         A[_disk_mask(n, c, _DISK_RADIUS).ravel(), m] = 1.0
@@ -145,14 +138,16 @@ def mixed_disks(n: int, n_materials: int, grid: Grid2D | None = None) -> Materia
     return _rendered(A, grid, [f"material_{m}" for m in range(n_materials)], n)
 
 
-def _rendered(A, grid: Grid2D, labels: list[str], n: int) -> MaterialMap:
-    """The disk render `A` as a map; a disk smaller than a pixel can miss
-    every pixel center, and a material that covers no pixel is an error."""
+def _rendered(A, grid: Grid2D | None, labels: list[str], n: int) -> MaterialMap:
+    """The n x n render `A` as a map on `grid`, by default ``Grid2D(n, n)``;
+    a material that covers no pixel is an error (a disk smaller than a pixel
+    can miss every pixel center)."""
     empty = np.flatnonzero(~A.any(axis=0))
     if empty.size:
         raise ValueError(f"{labels[empty[0]]} covers no pixel at n={n}; "
                          "use a larger size")
-    return MaterialMap(A=A, grid=grid, labels=labels)
+    return MaterialMap(A=A, grid=Grid2D(n, n) if grid is None else grid,
+                       labels=labels)
 
 
 def _ring_centers(radius: float, count: int) -> list[tuple[float, float]]:

@@ -279,7 +279,7 @@ class AapmConfig:
         if not self.random_init:
             raise ValueError("random_init must be true: a flat start keeps "
                              "every material map identical")
-        _check_loop_settings(self, ("eps_abs_tol", "eps_rel_tol"))
+        _check_settings(self, ("max_iter",), ("eps_abs_tol", "eps_rel_tol"))
 
 
 def aapm(op: TomoOperator, T, Y: np.ndarray, n_materials: int,
@@ -353,14 +353,17 @@ class CjointConfig:
     callback: Optional[Callable] = None
 
     def __post_init__(self):
-        _check_loop_settings(self, ("tol",))
+        _check_settings(self, ("max_iter",), ("tol",))
 
 
-def _check_loop_settings(cfg, tolerances) -> None:
-    """Reject `_alternating_pg` settings of `AapmConfig` or `CjointConfig` that
-    no run can use."""
-    if type(cfg.max_iter) is not int or cfg.max_iter < 1:
-        raise ValueError(f"max_iter must be an int >= 1, got {cfg.max_iter!r}")
+def _check_settings(cfg, counts, tolerances) -> None:
+    """Reject settings of a solver config that no run can use: each field
+    named in `counts` must be an int >= 1, each in `tolerances` finite and
+    >= 0."""
+    for name in counts:
+        value = getattr(cfg, name)
+        if type(value) is not int or value < 1:
+            raise ValueError(f"{name} must be an int >= 1, got {value!r}")
     for name in tolerances:
         value = getattr(cfg, name)
         if not (np.isfinite(value) and value >= 0):
@@ -417,15 +420,10 @@ class TwoStepConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (np.isfinite(self.tikhonov_lambda) and self.tikhonov_lambda >= 0):
-            raise ValueError("tikhonov_lambda must be finite and >= 0, "
-                             f"got {self.tikhonov_lambda}")
         if not self.cg_tol > 0:
             raise ValueError(f"cg_tol must be positive, got {self.cg_tol}")
-        for name in ("cg_max_iter", "nmf_iters", "nmf_restarts"):
-            value = getattr(self, name)
-            if type(value) is not int or value < 1:
-                raise ValueError(f"{name} must be >= 1 and an int, got {value!r}")
+        _check_settings(self, ("cg_max_iter", "nmf_iters", "nmf_restarts"),
+                        ("tikhonov_lambda",))
 
 
 def tikhonov_cg(op: TomoOperator, B: np.ndarray, lam: float,

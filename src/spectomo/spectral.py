@@ -113,10 +113,6 @@ class SpectralDictionary:
     def n_materials(self) -> int:
         return self.T.shape[0]
 
-    @property
-    def n_channels(self) -> int:
-        return self.T.shape[1]
-
 
 @dataclass(frozen=True)
 class SpectralSinogram:

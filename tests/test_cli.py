@@ -212,7 +212,7 @@ class TestReconstructEvaluate:
 
     @pytest.mark.parametrize("method,params,message", [
         ("adjust", {"rho": 2.0}, "rho must lie in"),
-        ("ru", {"nmf_restarts": 0}, "nmf_restarts must be >= 1"),
+        ("ru", {"nmf_restarts": 0}, "nmf_restarts must be an int >= 1"),
     ])
     def test_bad_override_fails_before_any_work(self, run_dir, no_operator,
                                                 method, params, message):
@@ -304,6 +304,43 @@ class TestReconstructEvaluate:
         with pytest.raises(data_io.FormatError,
                            match=f"^{re.escape(str(path))}:2: invalid JSON"):
             cli.cmd_evaluate(run_dir, method="ru")
+
+    @pytest.mark.parametrize("text,message", [
+        ('{"method": "adjust"}', "missing key 'seconds'"),
+        ("[1.5]", "must hold a JSON object"),
+    ], ids=["no-seconds", "array"])
+    def test_evaluate_refuses_a_meta_it_cannot_read(self, run_dir, capsys, text,
+                                                    message):
+        method_dir = cli.cmd_reconstruct(run_dir, method_params={"max_iter": 2})
+        path = method_dir / "reconstruct_meta.json"
+        path.write_text(text)
+        assert_error_line(capsys, ["evaluate", "--out", str(run_dir)],
+                          re.escape(f"{path}: {message}\n"))
+        assert not (method_dir / "results.csv").exists()
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("files", None, "missing key 'files.sinogram'"),
+        ("dictionary_names", None, "missing key 'dictionary_names'"),
+        ("config", {"seed": 11}, "missing key 'config.method'"),
+        ("n_materials", 5, "n_materials must be an integer from 1 to the "
+                           "number of dictionary_names, got 5"),
+        (None, None, "must hold a JSON object"),
+    ], ids=["no-files", "no-dictionary-names", "no-method", "too-many-materials",
+            "array"])
+    def test_manifest_simulate_did_not_write_is_one_error_line(
+            self, run_dir, capsys, no_operator, key, value, message):
+        path = run_dir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        if key is None:
+            manifest = [manifest]
+        elif value is None:
+            del manifest[key]
+        else:
+            manifest[key] = value
+        path.write_text(json.dumps(manifest))
+        assert_error_line(capsys, ["reconstruct", "--out", str(run_dir)],
+                          re.escape(f"{path}: {message}\n"))
+        assert not (run_dir / "adjust").exists()
 
     def test_perfect_reconstruction_scores_one(self, run_dir):
         gt = data_io.load_matrix(run_dir / "ground_truth.adjm")
@@ -455,13 +492,14 @@ class TestSweepRho:
         assert [p.name for p in paths] == ["history_rho_0.1.csv",
                                            "history_rho_0.csv"]
 
-    def test_rhos_sharing_a_file_name_fail_before_any_work(self, run_dir,
-                                                           no_operator):
-        with pytest.raises(data_io.FormatError,
-                           match="0.01 and 0.01000001 would both write "
-                                 "history_rho_0.01.csv"):
-            cli.cmd_sweep_rho(run_dir, rho_list=(0.01, 0.01000001), max_iter=2)
-        assert not (run_dir / "sweep").exists()
+    def test_distinct_rhos_write_distinct_files(self, run_dir, capsys):
+        # 0.01 and 0.01000001 share {rho:g}; each name is exact, and a tiny
+        # value keeps a short one
+        assert cli.main(["sweep-rho", "--out", str(run_dir), "--rhos",
+                         "0.01,0.01000001,1e-300", "--max-iter", "2"]) == 0
+        assert sorted(p.name for p in (run_dir / "sweep").iterdir()) == [
+            "history_rho_0.01.csv", "history_rho_0.01000001.csv",
+            "history_rho_1e-300.csv"]
 
     def test_palm_history_monotone(self, run_dir):
         path = cli.cmd_sweep_rho(run_dir, rho_list=(0.0,), max_iter=10)[0]
@@ -666,6 +704,18 @@ class TestMainEntry:
         assert cli.main(["evaluate", "--out", str(tmp_path / "out")]) == 0
         assert "ssim_avg" in capsys.readouterr().out
 
+    def test_method_flag_drops_the_configured_params(self, tmp_path):
+        # the config's method_params belong to adjust; cjoint takes none of them
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config(output_dir=str(tmp_path / "out"))))
+        assert cli.main(["pipeline", "--config", str(cfg_path), "--method",
+                         "cjoint", "--rhos", "0"]) == 0
+        config = json.loads((tmp_path / "out" / "manifest.json").read_text())["config"]
+        assert (config["method"], config["method_params"]) == ("cjoint", {})
+        meta = json.loads((tmp_path / "out" / "cjoint" /
+                           "reconstruct_meta.json").read_text())
+        assert (meta["method"], meta["params"]) == ("cjoint", {})
+
     def test_seed_override_flag(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(tiny_config(output_dir=str(tmp_path / "o1"))))
@@ -684,8 +734,9 @@ class TestMainEntry:
         {"material_rows": [0, 9]},
         {"channel_selection": {"count": "dictionary"},     # 8 entries, 5 channels
          "dictionary": {"type": "synthetic", "materials": 8}},
+        {"noise": {"poison": True}},
     ], ids=["method_params", "channel_selection", "dictionary", "source", "noise",
-            "material_rows", "channel_selection-dictionary"])
+            "material_rows", "channel_selection-dictionary", "noise-unknown-key"])
     def test_bad_config_writes_nothing(self, tmp_path, capsys, command, override):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(

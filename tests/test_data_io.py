@@ -418,6 +418,33 @@ class TestRunConfig:
         with pytest.raises(FormatError, match=f"^{section} section invalid"):
             parse_config(valid_config(**override))
 
+    @pytest.mark.parametrize("override,message", [
+        ({"colour": "red"}, "unknown key 'colour' in the config"),
+        ({"noise": {"poison": True}},
+         "noise section invalid: unknown key 'poison' in noise"),
+        ({"geometry": {"angles": {"count": 20, "stop": np.pi}, "detector": 7}},
+         "geometry section invalid: unknown key 'detector' in geometry"),
+        ({"geometry": {"angles": {"list": [0.0, 1.0], "count": 2}}},
+         "geometry section invalid: unknown key 'count' in geometry.angles"),
+        ({"phantom": {"kind": "shepp_logan", "size": 32, "materials": 3,
+                      "count": 3}},
+         "phantom section invalid: unknown key 'count' in phantom"),
+        ({"binning": {"channels": 8, "energy_min": 5.0, "energy_max": 35.0,
+                      "energy_step": 1.0}},
+         "binning section invalid: unknown key 'energy_step' in binning"),
+        ({"dictionary": {"type": "synthetic", "materials": 6, "path": "mu.csv"}},
+         "dictionary section invalid: unknown key 'path' in dictionary"),
+        ({"source": {"type": "flat", "photons": 1e4, "scale": 2.0}},
+         "source section invalid: unknown key 'scale' in source"),
+        ({"channel_selection": {"count": 3, "rule": "greedy"}},
+         "channel_selection section invalid: unknown key 'rule' in "
+         "channel_selection"),
+    ], ids=["top-level", "noise", "geometry", "angles", "phantom", "binning",
+            "dictionary", "source", "channel_selection"])
+    def test_key_nothing_reads_rejected(self, override, message):
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}; expected"):
+            parse_config(valid_config(**override))
+
     @pytest.mark.parametrize("section,override", NOT_ARRAYS, ids=NOT_ARRAY_IDS)
     def test_array_field_that_is_not_an_array_rejected(self, section, override):
         with pytest.raises(FormatError, match=f"^{section} section invalid: "
