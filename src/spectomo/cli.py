@@ -144,7 +144,7 @@ def cmd_reconstruct(out_dir: Path, method: str | None = None,
     the coefficients of a dictionary solve, an iteration history CSV and
     ``reconstruct_meta.json`` with the solve time and why the loop stopped."""
     out_dir = Path(out_dir)
-    manifest = _load_manifest(out_dir)
+    manifest, grid, geometry = _load_manifest(out_dir)
     method = method or manifest["config"]["method"]
     params = {**_configured_params(manifest["config"], method),
               **(method_params or {})}
@@ -152,7 +152,7 @@ def cmd_reconstruct(out_dir: Path, method: str | None = None,
         seed = manifest["seed"]
     data_io.method_config(method, params, seed)   # fail before any work
 
-    problem = _load_problem(out_dir, manifest)
+    problem = _load_problem(out_dir, manifest, grid, geometry)
     method_dir = out_dir / method
     method_dir.mkdir(exist_ok=True)
     t0 = time.perf_counter()
@@ -184,7 +184,7 @@ def cmd_evaluate(out_dir: Path, method: str | None = None) -> dict:
     ``reconstruct_meta.json`` without its ``seconds``, raise a `FormatError`
     that names the file, before anything is written."""
     out_dir = Path(out_dir)
-    manifest = _load_manifest(out_dir)
+    manifest, grid, _ = _load_manifest(out_dir)
     method = method or manifest["config"]["method"]
     method_dir = out_dir / method
     maps_path = method_dir / "maps.adjm"
@@ -211,10 +211,9 @@ def cmd_evaluate(out_dir: Path, method: str | None = None) -> dict:
     results_path = method_dir / "results.csv"
     data_io.write_results_csv(results_path, method, match)
 
-    g = manifest["grid"]
     image_paths = []
     for m in range(A_rec.shape[1]):
-        img = A_rec[:, m].reshape(g["ny"], g["nx"])
+        img = A_rec[:, m].reshape(grid.ny, grid.nx)
         vmax = max(1.0, float(img.max()))
         path = method_dir / f"map_{m:02d}.pgm"
         data_io.export_pgm16(path, img, 0.0, vmax)
@@ -254,7 +253,7 @@ def cmd_sweep_rho(out_dir: Path, rho_list=DEFAULT_RHO_SWEEP,
     order first given, on the same data; one history CSV per value,
     directly comparable across the sweep."""
     out_dir = Path(out_dir)
-    manifest = _load_manifest(out_dir)
+    manifest, grid, geometry = _load_manifest(out_dir)
     params = {**_configured_params(manifest["config"], "adjust")}
     if max_iter is not None:
         params["max_iter"] = max_iter
@@ -264,7 +263,7 @@ def cmd_sweep_rho(out_dir: Path, rho_list=DEFAULT_RHO_SWEEP,
         # the shortest form that reads back as rho: distinct values, distinct names
         names[f"history_rho_{str(float(rho)).removesuffix('.0')}.csv"] = rho
 
-    problem = _load_problem(out_dir, manifest)
+    problem = _load_problem(out_dir, manifest, grid, geometry)
     sweep_dir = out_dir / "sweep"
     sweep_dir.mkdir(exist_ok=True)
     for name, rho in names.items():
@@ -289,21 +288,20 @@ def _configured_params(config: dict, method: str):
     return config.get("method_params", {}) if method == config.get("method") else {}
 
 
-def _load_problem(out_dir: Path, manifest: dict):
+def _load_problem(out_dir: Path, manifest: dict, grid: Grid2D,
+                  geometry: ParallelGeometry):
     """The operator, data, dictionary and material count of a simulated run,
-    read from its manifest and files alone; a file whose shape disagrees
-    with the manifest fails before the operator is built, and one with a
-    non-finite entry before anything is solved.  The data are loaded after
-    the build, whose transients they would otherwise add to."""
-    files, g = manifest["files"], manifest["grid"]
+    read from what `_load_manifest` returns and the run's files alone; a
+    file whose shape disagrees with the manifest fails before the operator
+    is built, and one with a non-finite entry before anything is solved.
+    The data are loaded after the build, whose transients they would
+    otherwise add to."""
+    files = manifest["files"]
     n_channels = len(manifest["channel_centers"])
-    _check_shape(out_dir / files["sinogram"],
-                 (len(manifest["angles"]) * manifest["n_det"], n_channels))
+    _check_shape(out_dir / files["sinogram"], (geometry.n_rays, n_channels))
     _check_shape(out_dir / files["dictionary"],
                  (len(manifest["dictionary_names"]), n_channels))
-    geometry = ParallelGeometry(angles=manifest["angles"], n_det=manifest["n_det"],
-                                det_spacing=manifest["det_spacing"])
-    return (TomoOperator(Grid2D(g["nx"], g["ny"], g["pixel_size"]), geometry),
+    return (TomoOperator(grid, geometry),
             _load_finite(out_dir / files["sinogram"]),
             _load_finite(out_dir / files["dictionary"]),
             manifest["n_materials"])
@@ -341,11 +339,13 @@ def _solve(method: str, problem, params: dict, seed: int, history_path: Path):
         return getattr(solvers, method)(op, Y, M, config)
 
 
-def _load_manifest(out_dir: Path) -> dict:
-    """The run directory's manifest: a JSON object holding every key of
-    `MANIFEST_KEYS`, with an `n_materials` from 1 to the number of
-    `dictionary_names`; anything else raises a `FormatError` naming the
-    file and the key."""
+def _load_manifest(out_dir: Path) -> tuple[dict, Grid2D, ParallelGeometry]:
+    """The run directory's manifest, with the grid and geometry built from
+    it: a JSON object holding every key of `MANIFEST_KEYS`, with an
+    `n_materials` from 1 to the number of `dictionary_names`, `angles` and
+    `channel_centers` each a nonempty list of numbers, and values that
+    `Grid2D` and `ParallelGeometry` accept; anything else raises a
+    `FormatError` naming the file."""
     path = Path(out_dir) / "manifest.json"
     if not path.exists():
         raise FileNotFoundError(
@@ -355,7 +355,19 @@ def _load_manifest(out_dir: Path) -> dict:
     if not (type(n) is int and isinstance(names, list) and 1 <= n <= len(names)):
         raise FormatError(f"{path}: n_materials must be an integer from 1 to "
                           f"the number of dictionary_names, got {n!r}")
-    return manifest
+    for key in ("angles", "channel_centers"):
+        values = manifest[key]
+        if not (isinstance(values, list) and values
+                and all(type(v) in (int, float) for v in values)):
+            raise FormatError(f"{path}: {key} must be a nonempty list of numbers")
+    g = manifest["grid"]
+    try:
+        grid = Grid2D(g["nx"], g["ny"], g["pixel_size"])
+        geometry = ParallelGeometry(angles=manifest["angles"], n_det=manifest["n_det"],
+                                    det_spacing=manifest["det_spacing"])
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: {exc}") from None
+    return manifest, grid, geometry
 
 
 def _read_object(path: Path, keys) -> dict:

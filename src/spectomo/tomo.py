@@ -23,20 +23,20 @@ index): 57 MiB for a 128x128 grid with 180 angles and 128 detectors.
 Assembly briefly holds every slot, zeros included (69 MiB there), and takes
 about 70 ms there on one core.
 
-Where the process may run on two or more CPUs, ``forward`` splits ``W`` at
-the row that halves its nonzeros: the calling thread computes one half and
-one persistent worker thread the other, each into its own rows of one
-output, with the CSR kernel that ``W @ X`` calls.  The kernel releases the
-GIL, and every ray sums its entries in the same order as in ``W @ X``, so
-the output is bit for bit the same whatever the CPU count.  The halves are
-views of ``W``'s arrays, not copies.  ``adjoint`` runs on the calling
-thread alone: split by rows, each pixel would sum its entries in another
-order.
+``forward`` has one path on any CPU count: it splits ``W`` at the row
+that halves its nonzeros, and the calling thread computes one half while
+one persistent worker thread computes the other, each into its own rows of
+one output, with the CSR kernel that ``W @ X`` calls.  The kernel releases
+the GIL, and every ray sums its entries in the same order as in ``W @ X``,
+so the output is bit for bit that product.  The halves are views of
+``W``'s arrays, not copies.  ``adjoint`` runs on the calling thread alone:
+split by rows, each pixel would sum its entries in another order.
 """
 
 from __future__ import annotations
 
 import functools
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -50,6 +50,12 @@ def _check_count(name: str, value) -> None:
     """Reject a count that is not an integer (a bool or a float)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_length(name: str, value) -> None:
+    """Reject a length that is not a positive finite number."""
+    if not (isinstance(value, numbers.Real) and 0 < value < np.inf):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -66,9 +72,7 @@ class Grid2D:
         _check_count("ny", self.ny)
         if self.nx < 1 or self.ny < 1:
             raise ValueError(f"grid must have at least one pixel, got {self.nx}x{self.ny}")
-        if not 0 < self.pixel_size < np.inf:
-            raise ValueError("pixel_size must be positive and finite, "
-                             f"got {self.pixel_size}")
+        _check_length("pixel_size", self.pixel_size)
         if not (len(self.origin) == 2 and np.all(np.isfinite(self.origin))):
             raise ValueError(f"origin must be two finite numbers, got {self.origin}")
 
@@ -101,9 +105,7 @@ class ParallelGeometry:
         _check_count("n_det", self.n_det)
         if self.n_det < 1:
             raise ValueError(f"n_det must be >= 1, got {self.n_det}")
-        if not 0 < self.det_spacing < np.inf:
-            raise ValueError("det_spacing must be positive and finite, "
-                             f"got {self.det_spacing}")
+        _check_length("det_spacing", self.det_spacing)
         object.__setattr__(self, "angles", angles)
 
     @property
@@ -126,15 +128,6 @@ def equispaced_angles(count: int, start: float = 0.0, stop: float = np.pi) -> np
     return np.linspace(start, stop, count, endpoint=False)
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on (all of the machine's where the OS
-    cannot say)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 @functools.cache
 def _forward_worker() -> ThreadPoolExecutor:
     """The process's forward worker, started on first use."""
@@ -150,7 +143,10 @@ if hasattr(os, "register_at_fork"):
 def _rows_product(W: sparse.csr_array, lo: int, hi: int, x: np.ndarray,
                   out: np.ndarray) -> None:
     """Add rows ``lo:hi`` of ``W @ x`` into the same rows of `out`, with the
-    kernel ``W @ x`` calls for x's width (a vector kernel for one column).
+    kernel ``W @ x`` calls for x's width (a vector kernel for one column:
+    ``csr_matvecs`` gives the same bits there, but took 2 to 4 times as
+    long on one core, on 64x64 operators with 60 angles and 128x128 with
+    180).
 
     The kernels are scipy's private ``_sparsetools`` ones; that ``W @ x``
     dispatches to them this way was checked on scipy 1.17.1, and
@@ -173,13 +169,12 @@ class TomoOperator:
 
     ``W`` is a ``(n_rays, n_image)`` CSR matrix holding the Joseph weights
     of every ray, so ``forward`` is ``W @ X`` and ``adjoint`` is
-    ``W.T @ Y``.  When the process may use two or more CPUs, ``forward``
-    computes the rows below ``split_row`` on the calling thread and the
-    rest on the process's forward worker thread (see the module
-    docstring).  ``split_row`` is 0 for an operator with fewer than two
-    rays, whose ``forward`` is always the single call.  The operator keeps
-    no other state and is immutable after construction, and each call
-    writes only its own output, so it is safe for concurrent use.
+    ``W.T @ Y``.  On any CPU count, ``forward`` computes the rows below
+    ``split_row`` on the calling thread and the rest on the process's
+    forward worker thread (see the module docstring); a half may be empty,
+    as on a one-ray operator.  The operator keeps no other state and is
+    immutable after construction, and each call writes only its own
+    output, so it is safe for concurrent use.
     """
 
     grid: Grid2D
@@ -191,10 +186,7 @@ class TomoOperator:
         W = self._assemble()
         object.__setattr__(self, "W", W)
         # the row that halves the nonzeros, so both halves take about as long
-        split_row = 0
-        if self.n_rays > 1:
-            split_row = int(np.clip(np.searchsorted(W.indptr, W.nnz // 2), 1, self.n_rays - 1))
-        object.__setattr__(self, "split_row", split_row)
+        object.__setattr__(self, "split_row", int(np.searchsorted(W.indptr, W.nnz // 2)))
 
     @property
     def n_image(self) -> int:
@@ -219,18 +211,13 @@ class TomoOperator:
         x, single = self._check_vec(image, self.n_image, "image")
         if not np.all(np.isfinite(x)):
             raise ValueError("image contains non-finite entries")
-        if self.split_row and _cpu_count() >= 2:
-            out = np.zeros((self.n_rays, x.shape[1]))
-            upper = _forward_worker().submit(_rows_product, self.W, self.split_row,
-                                             self.n_rays, x, out)
-            try:
-                _rows_product(self.W, 0, self.split_row, x, out)
-            finally:
-                upper.result()
-        else:
-            # on one CPU the halves would only take turns, and the hand-off
-            # made a 64x64 forward 2-13% slower there (32 to 1 columns)
-            out = self.W @ x
+        out = np.zeros((self.n_rays, x.shape[1]))
+        upper = _forward_worker().submit(_rows_product, self.W, self.split_row,
+                                         self.n_rays, x, out)
+        try:
+            _rows_product(self.W, 0, self.split_row, x, out)
+        finally:
+            upper.result()
         return out[:, 0] if single else out
 
     def adjoint(self, sino: np.ndarray) -> np.ndarray:

@@ -342,6 +342,26 @@ class TestReconstructEvaluate:
                           re.escape(f"{path}: {message}\n"))
         assert not (run_dir / "adjust").exists()
 
+    @pytest.mark.parametrize("command", ["reconstruct", "evaluate"])
+    @pytest.mark.parametrize("key,value,message", [
+        ("n_det", "24", "n_det must be an integer, got '24'"),
+        ("grid.nx", "24", "nx must be an integer, got '24'"),
+        ("grid.pixel_size", "1", "pixel_size must be positive and finite, got '1'"),
+        ("channel_centers", "abcde", "channel_centers must be a nonempty list of numbers"),
+        ("angles", [[0.0, 1.0]], "angles must be a nonempty list of numbers"),
+    ], ids=["n-det-text", "nx-text", "pixel-size-text", "centers-text", "nested-angles"])
+    def test_manifest_value_the_constructors_refuse_is_one_error_line(
+            self, run_dir, capsys, no_operator, command, key, value, message):
+        # each value is read where the manifest is, not blamed on a data file
+        path = run_dir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        owner, _, name = key.rpartition(".")
+        (manifest[owner] if owner else manifest)[name] = value
+        path.write_text(json.dumps(manifest))
+        assert_error_line(capsys, [command, "--out", str(run_dir)],
+                          re.escape(f"{path}: {message}\n"))
+        assert not (run_dir / "adjust").exists()
+
     def test_perfect_reconstruction_scores_one(self, run_dir):
         gt = data_io.load_matrix(run_dir / "ground_truth.adjm")
         method_dir = run_dir / "adjust"
@@ -525,8 +545,8 @@ class TestRunDirectory:
         if preset is not None:
             raw = cli.apply_preset(raw, preset)
         cfg = parse_config(raw)
-        manifest = cli.cmd_simulate(cfg, tmp_path / "run")
-        op = cli._load_problem(tmp_path / "run", manifest)[0]
+        cli.cmd_simulate(cfg, tmp_path / "run")
+        op = cli._load_problem(tmp_path / "run", *cli._load_manifest(tmp_path / "run"))[0]
         expected = TomoOperator(cfg.grid(), cfg.parallel_geometry())
         for name in ("indptr", "indices", "data"):
             np.testing.assert_array_equal(getattr(op.W, name),
@@ -879,6 +899,14 @@ class TestMainEntry:
         text = capsys.readouterr().out
         for sub in ("simulate", "reconstruct", "evaluate", "sweep-rho", "pipeline"):
             assert sub in text
+
+    def test_readme_command_table_matches_the_parser(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        rows = re.findall(r"^\| `([\w-]+)` +\| (.*)\|$", readme, flags=re.M)
+        documented = [(command, tuple(re.findall(r"`(--[\w-]+)`", flags)))
+                      for command, flags in rows]
+        assert documented == [(command, flags)
+                              for command, (_, flags) in cli._COMMANDS.items()]
 
     @pytest.mark.parametrize("command", ["reconstruct", "evaluate", "sweep-rho"])
     def test_missing_run_directory_flag_is_one_error_line(self, tmp_path,

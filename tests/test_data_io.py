@@ -396,6 +396,16 @@ class TestRunConfig:
         assert documented == {m: {n: words[k] for n, k in kinds.items()}
                               for m, kinds in METHOD_PARAMS.items()}
 
+    @pytest.mark.parametrize("doc", ["README.md", "docs/formats.md"])
+    def test_sample_configs_in_the_docs_load(self, doc):
+        text = (Path(__file__).parents[1] / doc).read_text()
+        samples = [block for block in re.findall(r"^```json\n(.*?)^```", text,
+                                                 flags=re.M | re.S)
+                   if "config_version" in block]
+        assert samples
+        for sample in samples:
+            parse_config(json.loads(sample))
+
     @pytest.mark.parametrize("section,override", [
         ("noise", {"noise": {"poisson": False, "gaussian_percent": float("nan")}}),
         ("noise", {"noise": {"poisson": False, "gaussian_percent": float("inf")}}),

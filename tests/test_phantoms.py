@@ -6,6 +6,13 @@ from spectomo import Grid2D, disks, mixed_disks, shepp_logan
 from spectomo.phantoms import (_DISK_RADIUS, _DISK_RING_RADIUS, MaterialMap)
 
 
+def _one_hot_zero_or_a_half_pair(A):
+    """Per row: one entry 1, no entry, or two entries 0.5 and the rest 0."""
+    ones, halves, nonzero = ((A == 1).sum(axis=1), (A == 0.5).sum(axis=1),
+                             (A != 0).sum(axis=1))
+    return ((ones == 1) & (nonzero == 1)) | (nonzero == 0) | ((halves == 2) & (nonzero == 2))
+
+
 class TestSheppLogan:
     def test_rows_are_one_hot_or_zero(self):
         m = shepp_logan(64, 3)
@@ -76,21 +83,18 @@ class TestDisks:
         with pytest.raises(ValueError):
             disks(64, 16)
 
-    def test_overlap_guard_fails_closed(self):
-        from spectomo.phantoms import _check_disjoint
-        with pytest.raises(ValueError, match="overlap"):
-            _check_disjoint([(0.2, (0.0, 0.0)), (0.2, (0.3, 0.0))])
-
     @pytest.mark.parametrize("count", [1, 2, 8, 15])
     def test_material_on_no_pixel_rejected(self, count):
         # at 8^2 no pixel center falls inside disk 0, centered at (0.6, 0)
         with pytest.raises(ValueError, match="disk_0 covers no pixel at n=8"):
             disks(8, count)
 
-    def test_fifteen_disks_fit(self):
-        m = disks(256, 15)
+    @pytest.mark.parametrize("count", range(1, 16))
+    def test_every_supported_count_fits(self, count):
+        # no two disks share a pixel: each row is one-hot or zero
+        m = disks(256, count)
         assert np.all(m.A.sum(axis=0) > 0)
-        assert np.all(m.A.sum(axis=1) <= 1.0)
+        assert np.all(_one_hot_zero_or_a_half_pair(m.A))
 
     def test_total_mass_scales_with_resolution(self):
         base = disks(64, 5).A.sum()
@@ -137,10 +141,12 @@ class TestMixedDisks:
         with pytest.raises(ValueError, match="material_0 covers no pixel at n=8"):
             mixed_disks(8, 2)
 
-    def test_six_materials_fit(self):
-        m = mixed_disks(256, 6)          # 6 pure + 15 mixed disks
+    @pytest.mark.parametrize("count", range(2, 7))
+    def test_every_supported_count_fits(self, count):
+        # at 6: 6 pure + 15 mixed disks, none sharing a pixel
+        m = mixed_disks(256, count)
         assert np.all(m.A.sum(axis=0) > 0)
-        assert np.all(m.A.sum(axis=1) <= 1.0)
+        assert np.all(_one_hot_zero_or_a_half_pair(m.A))
 
 
 class TestResolutionConsistency:
